@@ -85,9 +85,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self, seed: Optional[np.ndarray] = None) -> None:
         """Reverse-mode sweep from this tensor.
 
@@ -434,6 +431,13 @@ class ParameterSet:
         for t in self._params.values():
             t.zero_grad()
 
+    def grads(self) -> dict[str, np.ndarray]:
+        """The accumulated gradient of every parameter; zeros where none flowed."""
+        return {
+            name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+            for name, t in self._params.items()
+        }
+
     def num_values(self) -> int:
         return sum(t.data.size for t in self._params.values())
 
@@ -441,12 +445,6 @@ class ParameterSet:
         out = ParameterSet()
         for name, t in self._params.items():
             out.add(name, t.data.copy())
-        return out
-
-    def astype(self, dtype) -> "ParameterSet":
-        out = ParameterSet()
-        for name, t in self._params.items():
-            out.add(name, t.data.astype(dtype))
         return out
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
@@ -463,7 +461,4 @@ def grad(loss: Tensor, params: ParameterSet) -> dict[str, np.ndarray]:
         raise InvalidArgumentError("grad expects a scalar loss")
     params.zero_grads()
     loss.backward()
-    return {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in params.items()
-    }
+    return params.grads()

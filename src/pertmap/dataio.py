@@ -8,11 +8,16 @@ directory holds one file per condition plus ``manifest.json``.
 Checkpoints are a single file: magic, u32 header length, a JSON header
 (format version plus the model configuration), then name-length-prefixed
 entries of shape-prefixed float32 tensors in parameter order.
+
+Readers raise InvalidArgumentError on a file that is shorter or longer than
+its header implies.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -22,12 +27,13 @@ import numpy as np
 
 from .autodiff import ParameterSet
 from .errors import InvalidArgumentError
-from .model import ModelConfig
+from .model import ModelConfig, build_model, parameter_layout
 
 DATASET_MAGIC = b"PMAPDS1\x00"
 CHECKPOINT_MAGIC = b"PMAPCK1\x00"
 KIND_OBSERVATIONAL = 0
 KIND_INTERVENTIONAL = 1
+_BATCH_HEADER = 20  # magic, then u32 d, n, kind
 
 
 def write_batch_file(path: Path, values: np.ndarray, kind: int, treatment_code: np.ndarray) -> None:
@@ -44,13 +50,17 @@ def write_batch_file(path: Path, values: np.ndarray, kind: int, treatment_code: 
 
 
 def read_batch_file(path: Path) -> tuple[np.ndarray, int, np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != DATASET_MAGIC:
-            raise InvalidArgumentError(f"{path}: not a dataset batch file")
-        d, n, kind = struct.unpack("<III", fh.read(12))
-        code = np.frombuffer(fh.read(4 * d), dtype="<f4").astype(np.float64)
-        values = np.frombuffer(fh.read(4 * n * d), dtype="<f4").reshape(n, d).astype(np.float64)
+    buf = Path(path).read_bytes()
+    if buf[:8] != DATASET_MAGIC:
+        raise InvalidArgumentError(f"{path}: not a dataset batch file")
+    if len(buf) < _BATCH_HEADER:
+        raise InvalidArgumentError(f"{path}: truncated batch header")
+    d, n, kind = struct.unpack_from("<III", buf, 8)
+    expected = _BATCH_HEADER + 4 * d * (1 + n)
+    if len(buf) != expected:
+        raise InvalidArgumentError(f"{path}: {len(buf)} bytes, but its header implies {expected}")
+    code = np.frombuffer(buf, dtype="<f4", count=d, offset=_BATCH_HEADER).astype(np.float64)
+    values = np.frombuffer(buf, dtype="<f4", offset=_BATCH_HEADER + 4 * d).reshape(n, d).astype(np.float64)
     return values, kind, code
 
 
@@ -82,32 +92,42 @@ def save_checkpoint(path: Path, params: ParameterSet, model_cfg: ModelConfig, ex
 
 
 def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
+    """Read a checkpoint; its tensors must be exactly those of the model
+    configuration in its header, with nothing missing, cut or trailing."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(count: int) -> bytes:
+            if count > size - fh.tell():
+                raise InvalidArgumentError(f"{path}: truncated checkpoint")
+            return fh.read(count)
+
         if fh.read(8) != CHECKPOINT_MAGIC:
             raise InvalidArgumentError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        (header_len,) = struct.unpack("<I", take(4))
+        header = json.loads(take(header_len).decode("utf-8"))
         if header.get("format") != 1:
             raise InvalidArgumentError(f"unsupported checkpoint format {header.get('format')}")
         values: dict[str, np.ndarray] = {}
-        while True:
-            raw = fh.read(4)
-            if not raw:
-                break
-            (name_len,) = struct.unpack("<I", raw)
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            count = int(np.prod(shape)) if shape else 1
-            values[name] = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape).astype(np.float32)
-    cfg = ModelConfig(**header["model_config"])
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<I", take(4))
+            name = take(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            values[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).astype(np.float32)
+    config = dict(header["model_config"])
+    # Written by versions whose ModelConfig still carried this unread
+    # field; TrainConfig owns the value.
+    config.pop("condition_drop_prob", None)
+    cfg = ModelConfig(**config)
+    expected = {name: shape for name, shape, _ in parameter_layout(cfg)}
+    if {name: v.shape for name, v in values.items()} != expected:
+        raise InvalidArgumentError(f"{path}: tensors do not match the model configuration in its header")
     return values, cfg, header.get("extra", {})
 
 
 def restore_params(values: dict[str, np.ndarray], model_cfg: ModelConfig, build_seed: int = 0) -> ParameterSet:
     """Materialize a ParameterSet with the checkpoint's tensor values."""
-    from .model import build_model
-
     params = build_model(model_cfg, seed=build_seed)
     if set(values) != set(params.names()):
         raise InvalidArgumentError("checkpoint parameters do not match the model configuration")

@@ -74,7 +74,7 @@ def _scm_context(args) -> tuple[int, np.ndarray, dict[int, np.ndarray], dict[int
     rng = np.random.default_rng(mix_seed(base_seed, context_id, 0, ROLE_STRUCTURE))
     dag = scmmod.sample_dag(d, edge_prob, rng)
     obs_seed = mix_seed(base_seed, context_id, 0, ROLE_OBS_NOISE)
-    obs = scmmod.sample_observational(dag, n, obs_seed).values
+    obs = scmmod.sample_observational(dag, n, obs_seed)
     # Pairing reuses the observational noise matrix for every treatment.
     shared = np.random.default_rng(obs_seed).standard_normal((n, d)) if paired else None
 
@@ -84,8 +84,7 @@ def _scm_context(args) -> tuple[int, np.ndarray, dict[int, np.ndarray], dict[int
         value_rng = np.random.default_rng(mix_seed(base_seed, context_id, target, ROLE_TREATMENT))
         iv = scmmod.Intervention(target, scmmod.sample_intervention_value(value_rng))
         int_seed = mix_seed(base_seed, context_id, target, ROLE_INT_NOISE)
-        batch = scmmod.sample_interventional(dag, iv, n, int_seed, paired_noise=shared)
-        batches[target] = batch.values
+        batches[target] = scmmod.sample_interventional(dag, iv, n, int_seed, paired_noise=shared)
         codes[target] = scmmod.encode_treatment(iv, d)
     return context_id, obs, batches, codes
 
@@ -100,16 +99,9 @@ def generate_scm_dataset(
     workers: int = 1,
 ) -> PerturbationDataset:
     """Sample linear-model contexts with one intervention per node."""
-    if n_contexts < 1:
-        raise InvalidArgumentError("n_contexts must be >= 1")
     ds = PerturbationDataset(kind=SCM_KIND, d=d, n=n_samples, paired=paired, base_seed=base_seed)
     jobs = [(c, d, n_samples, edge_prob, paired, base_seed) for c in range(n_contexts)]
-    for context_id, obs, batches, codes in _run_jobs(_scm_context, jobs, workers):
-        ds.observational[context_id] = obs
-        for t, batch in batches.items():
-            ds.interventional[(context_id, t)] = batch
-            ds.treatment_codes[(context_id, t)] = codes[t]
-    return ds
+    return _assemble(ds, _scm_context, jobs, workers)
 
 
 # -- expression (regulatory network) datasets --------------------------------
@@ -122,31 +114,17 @@ def _grn_context(args):
     sergio_cfg = grnmod.sample_sergio_config(rng)
     network = grnmod.sample_simulation_ready_grn(grn_cfg, rng)
 
-    def seeds(treatment: int) -> tuple[int, int]:
-        if paired:  # one simulation/noise stream shared across all treatments
-            return (
-                mix_seed(base_seed, context_id, 0, ROLE_OBS_NOISE),
-                mix_seed(base_seed, context_id, 0, ROLE_TECH_NOISE),
-            )
-        return (
-            mix_seed(base_seed, context_id, treatment, ROLE_INT_NOISE),
-            mix_seed(base_seed, context_id, treatment, ROLE_TECH_NOISE),
-        )
-
     def condition(network_variant, treatment: int) -> np.ndarray:
-        sim_seed, tech_seed = seeds(treatment)
+        # Treatment 0 is the observational stream; paired data shares it
+        # with every knockout.
+        t, role = (0, ROLE_OBS_NOISE) if paired or treatment == 0 else (treatment, ROLE_INT_NOISE)
+        sim_seed = mix_seed(base_seed, context_id, t, role)
+        tech_seed = mix_seed(base_seed, context_id, t, ROLE_TECH_NOISE)
         clean = grnmod.simulate_expression(network_variant, sergio_cfg, n_cells, sim_seed)
         counts = grnmod.apply_technical_noise(clean, sergio_cfg, tech_seed)
         return median_count_log_normalize(counts) if preprocess else counts.astype(float)
 
-    obs_sim, obs_tech = (
-        mix_seed(base_seed, context_id, 0, ROLE_OBS_NOISE),
-        mix_seed(base_seed, context_id, 0, ROLE_TECH_NOISE),
-    )
-    clean = grnmod.simulate_expression(network, sergio_cfg, n_cells, obs_sim)
-    counts = grnmod.apply_technical_noise(clean, sergio_cfg, obs_tech)
-    obs = median_count_log_normalize(counts) if preprocess else counts.astype(float)
-
+    obs = condition(network, 0)
     batches: dict[int, np.ndarray] = {}
     codes: dict[int, np.ndarray] = {}
     for gene in range(genes):
@@ -167,23 +145,27 @@ def generate_grn_dataset(
     workers: int = 1,
 ) -> PerturbationDataset:
     """Simulate expression contexts with one knockout per gene."""
-    if n_contexts < 1:
-        raise InvalidArgumentError("n_contexts must be >= 1")
     ds = PerturbationDataset(kind=GRN_KIND, d=genes, n=n_cells, paired=paired, base_seed=base_seed)
     jobs = [(c, genes, n_cells, paired, base_seed, preprocess) for c in range(n_contexts)]
-    for context_id, obs, batches, codes in _run_jobs(_grn_context, jobs, workers):
+    return _assemble(ds, _grn_context, jobs, workers)
+
+
+def _assemble(ds: PerturbationDataset, context_fn, jobs, workers: int) -> PerturbationDataset:
+    """Run one job per context, serially or in worker processes, and file
+    each context's batches and treatment codes into ``ds``."""
+    if not jobs:
+        raise InvalidArgumentError("n_contexts must be >= 1")
+    if workers <= 1:
+        results = [context_fn(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(context_fn, jobs))
+    for context_id, obs, batches, codes in results:
         ds.observational[context_id] = obs
         for t, batch in batches.items():
             ds.interventional[(context_id, t)] = batch
             ds.treatment_codes[(context_id, t)] = codes[t]
     return ds
-
-
-def _run_jobs(fn, jobs, workers: int):
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def median_count_log_normalize(counts: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Differentiable building blocks: linear maps, layer norm, softmax
-attention over concatenated token streams, and FiLM time modulation.
+"""Differentiable building blocks: linear maps, affine-free layer norm,
+softmax attention over concatenated token streams, and FiLM time modulation.
 
 Token matrices are (tokens, width).  Joint attention projects each stream
 with its own Q/K/V parameters, attends over the concatenation of all
@@ -42,17 +42,15 @@ def silu(x: Tensor) -> Tensor:
     return x * ad.sigmoid(x)
 
 
-def layer_norm(x: Tensor, scale: Optional[Tensor] = None, shift: Optional[Tensor] = None) -> Tensor:
-    """Standardize each token (last axis) to mean 0, variance 1, then affine."""
+def layer_norm(x: Tensor) -> Tensor:
+    """Standardize each token (last axis) to mean 0, variance 1.
+
+    There is no learned affine: FiLM modulation supplies it.
+    """
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    out = centered / ad.sqrt(var + _LN_EPS)
-    if scale is not None:
-        out = out * scale
-    if shift is not None:
-        out = out + shift
-    return out
+    return centered / ad.sqrt(var + _LN_EPS)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -145,18 +143,3 @@ def joint_attention(
         outputs.append(linear(merged[start:stop], p.wo, p.bo))
         start = stop
     return outputs
-
-
-def attention_weights(
-    streams: Sequence[Tensor],
-    params: Sequence[AttentionParams],
-    heads: int,
-    head_dim: int,
-) -> np.ndarray:
-    """The (heads, tokens, tokens) softmax weights, for inspection/tests."""
-    q = ad.concat([linear(s, p.wq, p.bq) for s, p in zip(streams, params)], axis=0)
-    k = ad.concat([linear(s, p.wk, p.bk) for s, p in zip(streams, params)], axis=0)
-    qh = _split_heads(q, heads, head_dim)
-    kh = _split_heads(k, heads, head_dim)
-    scores = (qh @ kh.swapaxes(1, 2)) * (1.0 / np.sqrt(head_dim))
-    return softmax(scores, axis=-1).data

@@ -6,19 +6,18 @@ divergence on the squared-Euclidean cost, reported on the square-root
 scale), multi-scale RBF maximum mean discrepancy, RMSE of the per-gene
 means, the transposed rank across conditions, the magnitude ratio of
 predicted to true effect sizes, and the Pearson correlation of per-gene
-variances.  The differential-expression pipeline combines per-gene Wilcoxon
-rank-sum tests, Benjamini-Hochberg correction, fold-change thresholds, and
-precision-recall sweeps.
+variances.  The differential-expression pipeline combines per-gene
+Wilcoxon rank-sum tests and Benjamini-Hochberg correction (both from
+scipy.stats), fold-change thresholds, and precision-recall sweeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
+from scipy.stats import false_discovery_control, mannwhitneyu
 
 from .errors import (
     DegenerateEffectError,
@@ -226,46 +225,6 @@ def variance_correlation(y_int: np.ndarray, y_hat: np.ndarray) -> float:
 # -- differential expression -------------------------------------------------
 
 
-def wilcoxon_rank_sum(x: np.ndarray, y: np.ndarray) -> float:
-    """Two-sided rank-sum p-value, normal approximation.
-
-    Uses mid-ranks for ties, the tie-corrected variance, and a continuity
-    correction.  Degenerate inputs (all values identical) return 1.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    nx, ny = x.size, y.size
-    if nx < 1 or ny < 1:
-        raise InvalidArgumentError("both samples must be non-empty")
-    combined = np.concatenate([x, y])
-    if np.all(combined == combined[0]):
-        return 1.0
-    ranks = rankdata(combined)
-    u = float(ranks[:nx].sum()) - nx * (nx + 1) / 2.0
-    n = nx + ny
-    _, counts = np.unique(combined, return_counts=True)
-    tie_term = float((counts**3 - counts).sum())
-    var_u = nx * ny / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if var_u <= 0.0:
-        return 1.0
-    mean_u = nx * ny / 2.0
-    delta = u - mean_u
-    z = (delta - 0.5 * np.sign(delta)) / math.sqrt(var_u) if delta != 0.0 else 0.0
-    return min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
-
-
-def bh_adjust(pvalues: Sequence[float]) -> np.ndarray:
-    """Benjamini-Hochberg adjusted p-values (monotone, capped at 1)."""
-    p = np.asarray(pvalues, dtype=float)
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    scaled = p[order] * m / np.arange(1, m + 1)
-    adjusted_sorted = np.minimum.accumulate(scaled[::-1])[::-1]
-    adjusted = np.empty(m)
-    adjusted[order] = np.minimum(adjusted_sorted, 1.0)
-    return adjusted
-
-
 @dataclass(frozen=True)
 class DegStats:
     neglog10_p: np.ndarray  # -log10 of BH-adjusted p-values, per gene
@@ -273,7 +232,8 @@ class DegStats:
 
 
 def deg_stats(y_ref: np.ndarray, y_alt: np.ndarray) -> DegStats:
-    """Per-gene Wilcoxon significance and log2 fold-change of the means.
+    """Per-gene rank-sum significance (Benjamini-Hochberg adjusted) and
+    log2 fold-change of the means.
 
     Means are clamped at zero before the pseudocount is added, so the
     fold-change stays defined for real-valued (not strictly positive) data.
@@ -284,9 +244,10 @@ def deg_stats(y_ref: np.ndarray, y_alt: np.ndarray) -> DegStats:
         raise InvalidArgumentError("gene dimensions do not match")
     if y_ref.shape[0] < 1 or y_alt.shape[0] < 1:
         raise InvalidArgumentError("both batches must be non-empty")
-    d = y_ref.shape[1]
-    pvals = np.array([wilcoxon_rank_sum(y_ref[:, g], y_alt[:, g]) for g in range(d)])
-    padj = bh_adjust(pvals)
+    # Two-sided asymptotic test: mid-ranks, tie-corrected variance and a
+    # continuity correction.  All-tied genes get p = 1.
+    pvals = mannwhitneyu(y_ref, y_alt, axis=0, method="asymptotic").pvalue
+    padj = false_discovery_control(pvals, method="bh")
     neglog = -np.log10(np.maximum(padj, _P_FLOOR))
     mu_ref = np.maximum(y_ref.mean(axis=0), 0.0) + _LOG_FC_PSEUDOCOUNT
     mu_alt = np.maximum(y_alt.mean(axis=0), 0.0) + _LOG_FC_PSEUDOCOUNT
@@ -329,7 +290,6 @@ class PrCurve:
     precisions: np.ndarray
     auprc: float
     baseline_rate: float  # positives / total, the random-ranking AUPRC
-    points: list = field(repr=False, default_factory=list)
 
 
 def auprc_curve(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
@@ -368,5 +328,4 @@ def auprc_curve(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
         precisions=np.array(precisions),
         auprc=float(auprc),
         baseline_rate=positives / labels.size,
-        points=list(zip(recalls, precisions)),
     )

@@ -38,7 +38,6 @@ class ModelConfig:
     register_tokens: int = 4
     max_genes: int = 6
     max_context: int = 4
-    condition_drop_prob: float = 0.2
 
     @property
     def time_dim(self) -> int:
@@ -92,18 +91,17 @@ class NoisedQuery:
     tau: float
 
 
-def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
-    """Allocate and initialize all learnable tensors, deterministically."""
-    cfg.validate()
-    rng = np.random.default_rng(seed)
-    params = ParameterSet()
+def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
+    """(name, shape, init scale) of every learnable tensor, in parameter
+    order.  Scale 0 marks a zero-initialized tensor; the others are normal."""
+    layout = []
     e, et, f, d = cfg.embed_dim, cfg.time_dim, cfg.ff_dim, cfg.max_genes
 
     def norm(name, shape, scale=0.02):
-        params.add(name, (rng.standard_normal(shape) * scale).astype(dtype))
+        layout.append((name, shape, scale))
 
     def zeros(name, shape):
-        params.add(name, np.zeros(shape, dtype=dtype))
+        layout.append((name, shape, 0.0))
 
     for s in _STREAMS:
         norm(f"in.{s}.w", (d, e))
@@ -141,6 +139,19 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
     zeros("final.film.b", (2 * e,))
     zeros("out.w", (e, d))  # zero-init readout: the initial velocity field is 0
     zeros("out.b", (d,))
+    return layout
+
+
+def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
+    """Allocate and initialize all learnable tensors, deterministically."""
+    cfg.validate()
+    rng = np.random.default_rng(seed)
+    params = ParameterSet()
+    for name, shape, scale in parameter_layout(cfg):
+        if scale:
+            params.add(name, (rng.standard_normal(shape) * scale).astype(dtype))
+        else:
+            params.add(name, np.zeros(shape, dtype=dtype))
     return params
 
 

@@ -4,10 +4,10 @@ A model is a sparse weighted adjacency matrix W (entry ``W[k, j]`` is the
 edge j -> k), acyclic by construction under a random node permutation.
 Samples solve z = (I - W)^{-1} eps with standard-normal noise rows.  A hard
 intervention do(target = value) zeroes the incoming edges of the target and
-clamps its value.
+clamps its value exactly.
 
-All sampling is a pure function of (model, seed): identical inputs produce
-bit-identical batches.
+Samplers return plain (n, d) arrays.  All sampling is a pure function of
+(model, seed): identical inputs produce bit-identical batches.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-
-OBSERVATIONAL = "observational"
-INTERVENTIONAL = "interventional"
 
 # Columns whose sample variance falls below this are treated as constant and
 # exempted from unit-variance rescaling (the clamped column of a hard
@@ -59,24 +56,6 @@ class WeightedDag:
             return np.linalg.inv(eye - self.weights)
         except np.linalg.LinAlgError as exc:  # unreachable for acyclic W
             raise NumericalFailureError("(I - W) is singular") from exc
-
-
-@dataclass(frozen=True)
-class MutilatedScm:
-    """A DAG with the intervened node's incoming edges removed."""
-
-    dag: WeightedDag
-    intervention: Intervention
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """An n x d sample matrix with its provenance."""
-
-    values: np.ndarray
-    kind: str
-    intervention: Optional[Intervention]
-    noise_seed: int
 
 
 def sample_dag(d: int, p: float, rng: np.random.Generator) -> WeightedDag:
@@ -122,8 +101,8 @@ def normalize_weights(w: np.ndarray) -> np.ndarray:
     return w / np.sqrt(row_var)[:, None]
 
 
-def apply_intervention(scm: WeightedDag, iv: Intervention) -> MutilatedScm:
-    """Remove all incoming edges of the intervened node.
+def apply_intervention(scm: WeightedDag, iv: Intervention) -> WeightedDag:
+    """The mutilated DAG: all incoming edges of the intervened node removed.
 
     The clamp itself is applied at sampling time: the node's value is fixed
     to ``iv.value`` regardless of noise.
@@ -132,7 +111,7 @@ def apply_intervention(scm: WeightedDag, iv: Intervention) -> MutilatedScm:
         raise InvalidArgumentError(f"intervention target {iv.target} out of range for d={scm.d}")
     w = scm.weights.copy()
     w[iv.target, :] = 0.0
-    return MutilatedScm(dag=WeightedDag(weights=w, node_permutation=scm.node_permutation), intervention=iv)
+    return WeightedDag(weights=w, node_permutation=scm.node_permutation)
 
 
 def _standardize_columns(values: np.ndarray) -> np.ndarray:
@@ -148,8 +127,8 @@ def _standardize_columns(values: np.ndarray) -> np.ndarray:
 
 def sample_observational(
     scm: WeightedDag, n: int, seed: int, *, standardize: bool = True
-) -> SampleBatch:
-    """Draw n observational samples z_i = (I - W)^{-1} eps_i."""
+) -> np.ndarray:
+    """Draw an (n, d) matrix of observational samples z_i = (I - W)^{-1} eps_i."""
     if n < 1:
         raise InvalidArgumentError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -157,7 +136,7 @@ def sample_observational(
     values = noise @ scm.transfer_matrix().T
     if standardize:
         values = _standardize_columns(values)
-    return SampleBatch(values=values, kind=OBSERVATIONAL, intervention=None, noise_seed=seed)
+    return values
 
 
 def sample_interventional(
@@ -168,8 +147,9 @@ def sample_interventional(
     paired_noise: Optional[np.ndarray] = None,
     *,
     standardize: bool = True,
-) -> SampleBatch:
-    """Draw n samples from the mutilated SCM under do(target = value).
+) -> np.ndarray:
+    """Draw an (n, d) sample matrix from the mutilated SCM under
+    do(target = value).
 
     With ``paired_noise`` the provided noise matrix is reused instead of
     drawing fresh noise, which yields counterfactually paired batches across
@@ -187,12 +167,15 @@ def sample_interventional(
     else:
         noise = np.random.default_rng(seed).standard_normal((n, scm.d))
     # Clamping replaces the target's noise channel with the fixed value; the
-    # mutilated transfer matrix then propagates it to the descendants.
+    # mutilated transfer matrix then propagates it to the descendants.  The
+    # inverse carries rounding into the target's own row, so the clamped
+    # column is assigned exactly afterwards.
     noise[:, iv.target] = iv.value
-    values = noise @ mutilated.dag.transfer_matrix().T
+    values = noise @ mutilated.transfer_matrix().T
+    values[:, iv.target] = iv.value
     if standardize:
         values = _standardize_columns(values)
-    return SampleBatch(values=values, kind=INTERVENTIONAL, intervention=iv, noise_seed=seed)
+    return values
 
 
 def sample_intervention_value(rng: np.random.Generator) -> float:

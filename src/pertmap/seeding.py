@@ -15,14 +15,14 @@ from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
 
-# Stream roles, used as the final word of the mix.
+# Stream roles, used as the final word of the mix.  A role's number is part
+# of every seed derived for it, so renumbering a role changes its data.
+# Paired data reuses the observational streams.
 ROLE_STRUCTURE = 0  # graph / SCM / GRN topology and weights
 ROLE_TREATMENT = 1  # intervention values
 ROLE_OBS_NOISE = 2  # observational sampling noise
 ROLE_INT_NOISE = 3  # interventional sampling noise
-ROLE_SHARED_NOISE = 4  # counterfactually paired noise
 ROLE_TECH_NOISE = 5  # measurement / technical noise
-ROLE_CELL = 6  # per-cell SDE chain streams
 
 
 def _splitmix64(h: int) -> int:

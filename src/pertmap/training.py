@@ -182,11 +182,7 @@ def train(
         if not math.isfinite(batch_loss):
             raise NumericalFailureError(f"non-finite loss at step {step}")
         lr = wsd_lr(step, train_cfg)
-        grads = {
-            name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for name, p in params.items()
-        }
-        optimizer.step(grads, lr)
+        optimizer.step(params.grads(), lr)
         ema_update(ema, params, train_cfg.ema_decay)
         trace.append((step, batch_loss, lr))
 

@@ -52,13 +52,10 @@ def test_layer_norm_shift_scale_invariance():
 
 
 def test_layer_norm_gradcheck():
+    # A fixed random readout r; sum(layer_norm(x)**2) would be constant.
     x = RNG.standard_normal((4, 6))
-    s = RNG.standard_normal(6)
-    t = RNG.standard_normal(6)
-    check_grads(
-        lambda ts: (layers.layer_norm(ts[0], ts[1], ts[2]) ** 2).sum(),
-        [x, s, t],
-    )
+    r = Tensor(RNG.standard_normal((4, 6)))
+    check_grads(lambda ts: (layers.layer_norm(ts[0]) * r).sum(), [x])
 
 
 def test_gelu_silu_gradcheck():
@@ -125,16 +122,6 @@ def test_joint_attention_single_token_single_stream():
     out = layers.joint_attention([x], [p], heads, hd)[0].data
     expected = (x.data @ p.wv.data + p.bv.data) @ p.wo.data + p.bo.data
     assert np.allclose(out, expected, atol=1e-10)
-
-
-def test_joint_attention_weights_rows_sum_to_one():
-    width, heads, hd = 8, 4, 2
-    rng = np.random.default_rng(5)
-    ps = [_attn_params(width, rng) for _ in range(2)]
-    streams = [Tensor(RNG.standard_normal((n, width))) for n in (3, 5)]
-    w = layers.attention_weights(streams, ps, heads, hd)
-    assert w.shape == (heads, 8, 8)
-    assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_joint_attention_query_permutation_equivariance():
