@@ -9,8 +9,9 @@ Checkpoints are a single file: magic, u32 header length, a JSON header
 (format version plus the model configuration), then name-length-prefixed
 entries of shape-prefixed float32 tensors in parameter order.
 
-Readers raise InvalidArgumentError on a file that is shorter or longer than
-its header implies.
+Readers and writers raise InvalidArgumentError on a batch kind other than 0
+or 1, and readers on a file that is shorter or longer than its header
+implies or whose checkpoint header is not a valid configuration.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any
 
@@ -27,12 +28,13 @@ import numpy as np
 
 from .autodiff import ParameterSet
 from .errors import InvalidArgumentError
-from .model import ModelConfig, build_model, parameter_layout
+from .model import ModelConfig, parameter_layout
 
 DATASET_MAGIC = b"PMAPDS1\x00"
 CHECKPOINT_MAGIC = b"PMAPCK1\x00"
 KIND_OBSERVATIONAL = 0
 KIND_INTERVENTIONAL = 1
+_KINDS = (KIND_OBSERVATIONAL, KIND_INTERVENTIONAL)
 _BATCH_HEADER = 20  # magic, then u32 d, n, kind
 
 
@@ -40,6 +42,8 @@ def write_batch_file(path: Path, values: np.ndarray, kind: int, treatment_code: 
     values = np.ascontiguousarray(values, dtype="<f4")
     code = np.ascontiguousarray(treatment_code, dtype="<f4")
     n, d = values.shape
+    if kind not in _KINDS:
+        raise InvalidArgumentError(f"batch kind must be one of {_KINDS}, got {kind}")
     if code.shape != (d,):
         raise InvalidArgumentError("treatment code length must equal the gene count")
     with open(path, "wb") as fh:
@@ -56,6 +60,8 @@ def read_batch_file(path: Path) -> tuple[np.ndarray, int, np.ndarray]:
     if len(buf) < _BATCH_HEADER:
         raise InvalidArgumentError(f"{path}: truncated batch header")
     d, n, kind = struct.unpack_from("<III", buf, 8)
+    if kind not in _KINDS:
+        raise InvalidArgumentError(f"{path}: batch kind {kind} is not one of {_KINDS}")
     expected = _BATCH_HEADER + 4 * d * (1 + n)
     if len(buf) != expected:
         raise InvalidArgumentError(f"{path}: {len(buf)} bytes, but its header implies {expected}")
@@ -105,31 +111,60 @@ def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], ModelConfig, dic
         if fh.read(8) != CHECKPOINT_MAGIC:
             raise InvalidArgumentError(f"{path}: not a checkpoint file")
         (header_len,) = struct.unpack("<I", take(4))
-        header = json.loads(take(header_len).decode("utf-8"))
+        try:
+            header = json.loads(take(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidArgumentError(f"{path}: checkpoint header is not UTF-8 JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise InvalidArgumentError(f"{path}: checkpoint header is not a JSON object")
         if header.get("format") != 1:
             raise InvalidArgumentError(f"unsupported checkpoint format {header.get('format')}")
+        cfg = _model_config(path, header.get("model_config"))
         values: dict[str, np.ndarray] = {}
         while fh.tell() < size:
             (name_len,) = struct.unpack("<I", take(4))
-            name = take(name_len).decode("utf-8")
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InvalidArgumentError(f"{path}: tensor name is not UTF-8") from exc
             (ndim,) = struct.unpack("<I", take(4))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
             values[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).astype(np.float32)
-    config = dict(header["model_config"])
-    # Written by versions whose ModelConfig still carried this unread
-    # field; TrainConfig owns the value.
-    config.pop("condition_drop_prob", None)
-    cfg = ModelConfig(**config)
-    expected = {name: shape for name, shape, _ in parameter_layout(cfg)}
-    if {name: v.shape for name, v in values.items()} != expected:
+    if not _matches_layout(values, cfg):
         raise InvalidArgumentError(f"{path}: tensors do not match the model configuration in its header")
     return values, cfg, header.get("extra", {})
 
 
-def restore_params(values: dict[str, np.ndarray], model_cfg: ModelConfig, build_seed: int = 0) -> ParameterSet:
-    """Materialize a ParameterSet with the checkpoint's tensor values."""
-    params = build_model(model_cfg, seed=build_seed)
-    if set(values) != set(params.names()):
+def _model_config(path: Path, config: Any) -> ModelConfig:
+    if not isinstance(config, dict):
+        raise InvalidArgumentError(f"{path}: checkpoint header has no model_config object")
+    config = dict(config)
+    # Written by versions whose ModelConfig still carried this unread
+    # field; TrainConfig owns the value.
+    config.pop("condition_drop_prob", None)
+    unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise InvalidArgumentError(f"{path}: unknown model_config keys {unknown}")
+    not_int = sorted(key for key, value in config.items() if type(value) is not int)
+    if not_int:
+        raise InvalidArgumentError(f"{path}: model_config values {not_int} are not integers")
+    cfg = ModelConfig(**config)
+    cfg.validate()
+    return cfg
+
+
+def _matches_layout(values: dict[str, np.ndarray], cfg: ModelConfig) -> bool:
+    expected = {name: shape for name, shape, _ in parameter_layout(cfg)}
+    return {name: np.shape(v) for name, v in values.items()} == expected
+
+
+def restore_params(values: dict[str, np.ndarray], model_cfg: ModelConfig) -> ParameterSet:
+    """A float32 ParameterSet holding the checkpoint's tensor values, in
+    parameter order."""
+    model_cfg.validate()
+    if not _matches_layout(values, model_cfg):
         raise InvalidArgumentError("checkpoint parameters do not match the model configuration")
-    params.load_values(values)
+    params = ParameterSet()
+    for name, _, _ in parameter_layout(model_cfg):
+        params.add(name, np.asarray(values[name], dtype=np.float32))
     return params

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -63,17 +64,105 @@ def _header_end(buf: bytes) -> int:
     return 12 + header_len
 
 
+def _replace_header(path, edit) -> None:
+    """Rewrite a checkpoint's header bytes with ``edit(header_bytes)``."""
+    buf = path.read_bytes()
+    header = edit(buf[12 : _header_end(buf)])
+    path.write_bytes(buf[:8] + struct.pack("<I", len(header)) + header + buf[_header_end(buf) :])
+
+
+def _edit_model_config(edit):
+    def rewrite(header_bytes: bytes) -> bytes:
+        header = json.loads(header_bytes)
+        edit(header)
+        return json.dumps(header, sort_keys=True).encode("utf-8")
+
+    return rewrite
+
+
 def test_checkpoint_header_with_condition_drop_prob_still_loads(tmp_path):
     path = tmp_path / "model.ckpt"
     params, cfg = _toy_checkpoint(path)
-    buf = path.read_bytes()
-    header = json.loads(buf[12 : _header_end(buf)])
-    header["model_config"]["condition_drop_prob"] = 0.2
-    legacy = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(buf[:8] + struct.pack("<I", len(legacy)) + legacy + buf[_header_end(buf) :])
+    _replace_header(path, _edit_model_config(lambda h: h["model_config"].update(condition_drop_prob=0.2)))
     values, loaded_cfg, _ = dataio.load_checkpoint(path)
     assert loaded_cfg == cfg
     assert sorted(values) == sorted(params.names())
+
+
+def test_checkpoint_header_with_unknown_config_key_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    _replace_header(path, _edit_model_config(lambda h: h["model_config"].update(bogus=1)))
+    with pytest.raises(InvalidArgumentError, match="bogus"):
+        dataio.load_checkpoint(path)
+
+
+def test_checkpoint_header_with_a_non_integer_config_value_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    _replace_header(path, _edit_model_config(lambda h: h["model_config"].update(layers="2")))
+    with pytest.raises(InvalidArgumentError, match="layers"):
+        dataio.load_checkpoint(path)
+
+
+def test_checkpoint_header_without_model_config_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    _replace_header(path, _edit_model_config(lambda h: h.pop("model_config")))
+    with pytest.raises(InvalidArgumentError):
+        dataio.load_checkpoint(path)
+
+
+def test_checkpoint_header_that_is_not_json_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    _replace_header(path, lambda header_bytes: header_bytes[:-1])
+    with pytest.raises(InvalidArgumentError):
+        dataio.load_checkpoint(path)
+
+
+def test_checkpoint_header_that_is_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    _replace_header(path, lambda header_bytes: b"\xff" + header_bytes)
+    with pytest.raises(InvalidArgumentError):
+        dataio.load_checkpoint(path)
+
+
+def test_checkpoint_tensor_name_that_is_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    buf = bytearray(path.read_bytes())
+    buf[_header_end(buf) + 4] = 0xFF  # first byte of the first tensor name
+    path.write_bytes(bytes(buf))
+    with pytest.raises(InvalidArgumentError):
+        dataio.load_checkpoint(path)
+
+
+def test_checkpoint_header_with_inconsistent_heads_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    _replace_header(path, _edit_model_config(lambda h: h["model_config"].update(heads=3)))
+    with pytest.raises(InvalidArgumentError, match="heads"):
+        dataio.load_checkpoint(path)
+
+
+def test_restore_params_rejects_inconsistent_heads(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _, cfg = _toy_checkpoint(path)
+    values, _, _ = dataio.load_checkpoint(path)
+    with pytest.raises(InvalidArgumentError, match="heads"):
+        dataio.restore_params(values, dataclasses.replace(cfg, heads=cfg.heads + 1))
+
+
+def test_restore_params_rejects_a_wrong_shape(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    values, cfg, _ = dataio.load_checkpoint(path)
+    name = next(iter(values))
+    values[name] = values[name][..., :-1]
+    with pytest.raises(InvalidArgumentError):
+        dataio.restore_params(values, cfg)
 
 
 def test_checkpoint_cut_at_end_of_header_is_rejected(tmp_path):
@@ -146,5 +235,19 @@ def test_batch_file_short_payload_is_rejected(tmp_path):
 def test_batch_file_trailing_bytes_are_rejected(tmp_path):
     path = tmp_path / "b.bin"
     path.write_bytes(_batch_file(path) + b"\x00" * 4)
+    with pytest.raises(InvalidArgumentError):
+        dataio.read_batch_file(path)
+
+
+def test_batch_file_write_rejects_an_unknown_kind(tmp_path):
+    with pytest.raises(InvalidArgumentError):
+        dataio.write_batch_file(tmp_path / "b.bin", np.zeros((2, 3)), 7, np.zeros(3))
+
+
+def test_batch_file_read_rejects_an_unknown_kind(tmp_path):
+    path = tmp_path / "b.bin"
+    buf = bytearray(_batch_file(path))
+    struct.pack_into("<I", buf, 16, 7)
+    path.write_bytes(bytes(buf))
     with pytest.raises(InvalidArgumentError):
         dataio.read_batch_file(path)

@@ -12,6 +12,7 @@ from pertmap import metrics
 from pertmap.errors import (
     DegenerateEffectError,
     InvalidArgumentError,
+    NumericalFailureError,
     UndefinedCorrelationError,
     UndefinedMetricError,
 )
@@ -95,6 +96,53 @@ def test_sinkhorn_matches_brute_force_assignment():
         approx = metrics.sinkhorn_divergence(y, y_hat, cfg)
         exact = exact_assignment_divergence(y, y_hat)
         assert approx == pytest.approx(exact, rel=0.02)
+
+
+def _record_kernel_builds(monkeypatch) -> list[float]:
+    """The epsilon of every kernel the Sinkhorn solver builds, in order."""
+    built = []
+    kernels = metrics._kernels
+
+    def recording(f, g, cost, eps):
+        built.append(eps)
+        return kernels(f, g, cost, eps)
+
+    monkeypatch.setattr(metrics, "_kernels", recording)
+    return built
+
+
+@pytest.mark.parametrize("bound", [1.0, 3.0])
+def test_sinkhorn_absorption_keeps_the_value(monkeypatch, bound):
+    # A low scaling bound forces absorptions in the middle of the epsilon
+    # stages (at 1.0, before nearly every update); they must not change the
+    # value beyond rounding, nor take the log of 0 or of an overflow.
+    rng = np.random.default_rng(17)
+    y = rng.standard_normal((32, 4))
+    y_hat = rng.standard_normal((32, 4)) * 1.5 + 0.3
+    built = _record_kernel_builds(monkeypatch)
+    expected = metrics.sinkhorn_divergence(y, y_hat)
+    unforced_builds = len(built)
+    built.clear()
+    monkeypatch.setattr(metrics, "_SCALING_BOUND", bound)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        forced = metrics.sinkhorn_divergence(y, y_hat)
+    assert len(built) > unforced_builds
+    assert math.isfinite(forced)
+    assert forced == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sinkhorn_non_finite_input_raises(bad):
+    y = np.zeros((3, 2))
+    y_hat = np.ones((3, 2))
+    y_hat[1, 0] = bad
+    with pytest.raises(NumericalFailureError):
+        metrics.sinkhorn_divergence(y, y_hat)
+
+
+def test_sinkhorn_kernel_that_left_the_float_range_raises():
+    with pytest.raises(NumericalFailureError):
+        metrics._absorbed_sums(np.array([[0.0, 0.0], [1.0, 2.0]]), 0.1)
 
 
 # -- MMD ---------------------------------------------------------------------
