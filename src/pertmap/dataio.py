@@ -11,7 +11,8 @@ entries of shape-prefixed float32 tensors in parameter order.
 
 Readers and writers raise InvalidArgumentError on a batch kind other than 0
 or 1, and readers on a file that is shorter or longer than its header
-implies or whose checkpoint header is not a valid configuration.
+implies, whose checkpoint header is not a valid configuration, or, for the
+manifest, that is not a UTF-8 JSON object.
 """
 
 from __future__ import annotations
@@ -75,7 +76,13 @@ def write_manifest(path: Path, manifest: dict[str, Any]) -> None:
 
 
 def read_manifest(path: Path) -> dict[str, Any]:
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidArgumentError(f"{path}: manifest is not UTF-8 JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise InvalidArgumentError(f"{path}: manifest is not a JSON object")
+    return manifest
 
 
 def save_checkpoint(path: Path, params: ParameterSet, model_cfg: ModelConfig, extra: dict | None = None) -> None:

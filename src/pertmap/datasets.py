@@ -33,6 +33,9 @@ from .seeding import (
 
 SCM_KIND = "scm"
 GRN_KIND = "grn"
+_MANIFEST_KEYS = ("format", "kind", "d", "n", "paired", "base_seed", "conditions")
+_ENTRY_KEYS = ("context", "treatment", "kind", "file")
+_ENTRY_KINDS = {"obs": dataio.KIND_OBSERVATIONAL, "int": dataio.KIND_INTERVENTIONAL}
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ def generate_scm_dataset(
 
 
 def _grn_context(args):
-    context_id, genes, n_cells, paired, base_seed, preprocess = args
+    context_id, genes, n_cells, paired, base_seed = args
     rng = np.random.default_rng(mix_seed(base_seed, context_id, 0, ROLE_STRUCTURE))
     grn_cfg = grnmod.sample_grn_config(genes, rng)
     sergio_cfg = grnmod.sample_sergio_config(rng)
@@ -122,7 +125,7 @@ def _grn_context(args):
         tech_seed = mix_seed(base_seed, context_id, t, ROLE_TECH_NOISE)
         clean = grnmod.simulate_expression(network_variant, sergio_cfg, n_cells, sim_seed)
         counts = grnmod.apply_technical_noise(clean, sergio_cfg, tech_seed)
-        return median_count_log_normalize(counts) if preprocess else counts.astype(float)
+        return median_count_log_normalize(counts)
 
     obs = condition(network, 0)
     batches: dict[int, np.ndarray] = {}
@@ -141,12 +144,12 @@ def generate_grn_dataset(
     n_cells: int,
     paired: bool = False,
     base_seed: int = 0,
-    preprocess: bool = True,
     workers: int = 1,
 ) -> PerturbationDataset:
-    """Simulate expression contexts with one knockout per gene."""
+    """Simulate expression contexts with one knockout per gene, each batch
+    median-count log-normalized."""
     ds = PerturbationDataset(kind=GRN_KIND, d=genes, n=n_cells, paired=paired, base_seed=base_seed)
-    jobs = [(c, genes, n_cells, paired, base_seed, preprocess) for c in range(n_contexts)]
+    jobs = [(c, genes, n_cells, paired, base_seed) for c in range(n_contexts)]
     return _assemble(ds, _grn_context, jobs, workers)
 
 
@@ -233,8 +236,20 @@ def save_dataset(ds: PerturbationDataset, outdir: Path) -> None:
 
 
 def load_dataset(path: Path) -> PerturbationDataset:
+    """Read a directory written by :func:`save_dataset`.
+
+    Raises :class:`InvalidArgumentError` when the manifest is not format 1,
+    lacks a key, lists an entry kind other than obs/int or a file that is
+    not a plain name in the directory, or disagrees with a batch file's
+    kind word or (n, d) shape.
+    """
     path = Path(path)
     manifest = dataio.read_manifest(path / "manifest.json")
+    _require_keys(manifest, _MANIFEST_KEYS, "manifest")
+    if manifest["format"] != 1:
+        raise InvalidArgumentError(f"{path}: manifest format {manifest['format']!r} is not 1")
+    if not isinstance(manifest["conditions"], list):
+        raise InvalidArgumentError(f"{path}: manifest conditions must be a list")
     ds = PerturbationDataset(
         kind=manifest["kind"],
         d=int(manifest["d"]),
@@ -243,7 +258,17 @@ def load_dataset(path: Path) -> PerturbationDataset:
         base_seed=int(manifest["base_seed"]),
     )
     for entry in manifest["conditions"]:
-        values, kind, code = dataio.read_batch_file(path / entry["file"])
+        _require_keys(entry, _ENTRY_KEYS, "manifest entry")
+        if entry["kind"] not in ("obs", "int"):
+            raise InvalidArgumentError(f"{path}: entry kind {entry['kind']!r} is not obs or int")
+        name = entry["file"]
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            raise InvalidArgumentError(f"{path}: entry file {name!r} is not a plain file name")
+        values, kind, code = dataio.read_batch_file(path / name)
+        if kind != _ENTRY_KINDS[entry["kind"]]:
+            raise InvalidArgumentError(f"{path / name}: batch kind {kind} but listed as {entry['kind']!r}")
+        if values.shape != (ds.n, ds.d):
+            raise InvalidArgumentError(f"{path / name}: shape {values.shape}, manifest says {(ds.n, ds.d)}")
         if entry["kind"] == "obs":
             ds.observational[entry["context"]] = values
         else:
@@ -251,6 +276,12 @@ def load_dataset(path: Path) -> PerturbationDataset:
             ds.interventional[key] = values
             ds.treatment_codes[key] = code
     return ds
+
+
+def _require_keys(obj, keys: Sequence[str], what: str) -> None:
+    missing = [k for k in keys if k not in obj] if isinstance(obj, dict) else list(keys)
+    if missing:
+        raise InvalidArgumentError(f"{what} lacks {missing}")
 
 
 # -- training bundles -----------------------------------------------------------

@@ -16,7 +16,7 @@ execution cannot change results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import networkx as nx
@@ -72,7 +72,7 @@ class Grn:
 
     ``basal_rates`` maps every gene without regulators to its production
     rate; master regulators are the subset of those with at least one
-    target.  ``knocked_out`` genes have no edges and zero production.
+    target.
     """
 
     genes: int
@@ -80,7 +80,6 @@ class Grn:
     basal_rates: dict[int, float]
     decay: np.ndarray  # per-gene lambda
     group_assignment: np.ndarray
-    knocked_out: frozenset[int] = field(default_factory=frozenset)
 
     def in_degree(self) -> np.ndarray:
         deg = np.zeros(self.genes, dtype=int)
@@ -203,7 +202,7 @@ def assign_kinetics(grn: Grn, rng: np.random.Generator) -> Grn:
     basal = {
         gene: _sample_production_rate(rng)
         for gene in range(grn.genes)
-        if in_deg[gene] == 0 and gene not in grn.knocked_out
+        if in_deg[gene] == 0
     }
     return assign_half_responses(replace(grn, basal_rates=basal))
 
@@ -299,9 +298,7 @@ def knockout(grn: Grn, gene: int) -> Grn:
         raise InvalidArgumentError(f"gene {gene} out of range for {grn.genes} genes")
     edges = tuple(e for e in grn.edges if e.regulator != gene and e.target != gene)
     basal = {g: b for g, b in grn.basal_rates.items() if g != gene}
-    return replace(
-        grn, edges=edges, basal_rates=basal, knocked_out=grn.knocked_out | {gene}
-    )
+    return replace(grn, edges=edges, basal_rates=basal)
 
 
 def simulate_expression(

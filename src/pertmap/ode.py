@@ -1,9 +1,9 @@
 """Adaptive Dormand-Prince 5(4) integration for array-valued ODEs.
 
-Seven-stage explicit Runge-Kutta pair; the fifth-order solution propagates
-and the embedded fourth-order solution drives the step-size controller.
-The first-same-as-last property is exploited, so an accepted step costs six
-fresh evaluations of the vector field.
+A thin adapter over :class:`scipy.integrate.RK45`, which implements the
+Dormand-Prince pair with the standard step-size controller.  The adapter
+flattens the (m, d) state, checks every field value for finiteness, and
+turns the solver's failures into :class:`NumericalFailureError`.
 """
 
 from __future__ import annotations
@@ -12,36 +12,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import RK45
 
 from .errors import NumericalFailureError
-
-# Butcher tableau (Dormand & Prince 1980).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_ORDER = 5
 
 
 @dataclass
 class OdeResult:
     y: np.ndarray
-    steps_taken: int
-    evaluations: int
+    steps_taken: int  # accepted steps
+    evaluations: int  # field evaluations: two to start, six per attempted step
 
 
 def integrate_dopri5(
@@ -51,63 +31,35 @@ def integrate_dopri5(
     t1: float,
     rtol: float = 1e-4,
     atol: float = 1e-5,
-    max_steps: int = 10_000,
+    max_steps: int = 2000,
 ) -> OdeResult:
     """Integrate dy/dt = field(t, y) from t0 to t1 (t1 > t0).
 
     The error norm is the RMS of the componentwise error scaled by
-    atol + rtol * max(|y|, |y_new|); a step is accepted when it is <= 1.
-    Raises :class:`NumericalFailureError` when the step budget is exhausted
-    or the state stops being finite.
+    atol + rtol * max(|y|, |y_new|); a step is accepted when it is below 1.
+    ``max_steps`` bounds the accepted steps: RK45 retries a rejected attempt
+    inside one step, so rejections do not count against it.  Raises
+    :class:`NumericalFailureError` when t1 <= t0, when the budget is
+    exhausted, when the step size underflows, or at the first field value
+    that is not finite.
     """
     if t1 <= t0:
         raise NumericalFailureError("integration requires t1 > t0")
-    y = np.asarray(y0, dtype=float).copy()
-    t = t0
-    span = t1 - t0
+    y0 = np.asarray(y0, dtype=float)
 
-    k = [np.zeros_like(y) for _ in range(7)]
-    k[0] = np.asarray(field(t, y), dtype=float)
-    evaluations = 1
-    h = _initial_step(field, t, y, k[0], rtol, atol, span)
+    def flat_field(t, y_flat):
+        value = np.asarray(field(t, y_flat.reshape(y0.shape)), dtype=float)
+        if not np.all(np.isfinite(value)):
+            raise NumericalFailureError(f"non-finite field value in dopri5 at t={t:.6g}")
+        return value.ravel()
 
-    steps = accepted = 0
-    while t < t1:
-        if steps >= max_steps:
-            raise NumericalFailureError(
-                f"dopri5 exceeded {max_steps} steps at t={t:.6g} (accepted {accepted})"
-            )
+    solver = RK45(flat_field, t0, y0.ravel(), t1, rtol=rtol, atol=atol)
+    steps = 0
+    while solver.status == "running":
+        if steps == max_steps:
+            raise NumericalFailureError(f"dopri5 exceeded {max_steps} accepted steps at t={solver.t:.6g}")
+        message = solver.step()
+        if solver.status == "failed":
+            raise NumericalFailureError(f"dopri5 failed at t={solver.t:.6g}: {message}")
         steps += 1
-        h = min(h, t1 - t)
-
-        for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-            k[i] = np.asarray(field(t + _C[i] * h, yi), dtype=float)
-        evaluations += 6
-
-        y_new = y + h * sum(b * k[i] for i, b in enumerate(_B5) if b != 0.0)
-        err_vec = h * sum((b5 - b4) * k[i] for i, (b5, b4) in enumerate(zip(_B5, _B4)))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-
-        if not np.isfinite(err):
-            raise NumericalFailureError(f"non-finite state in dopri5 at t={t:.6g}")
-
-        if err <= 1.0:
-            t = t + h
-            y = y_new
-            k[0] = k[6]  # FSAL: last stage is the first stage of the next step
-            accepted += 1
-        factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-1.0 / _ORDER)
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-
-    return OdeResult(y=y, steps_taken=accepted, evaluations=evaluations)
-
-
-def _initial_step(field, t0, y0, f0, rtol, atol, span) -> float:
-    """Conservative first step from the classic norm-ratio heuristic."""
-    scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    return min(h0, 0.1 * span)
+    return OdeResult(y=solver.y.reshape(y0.shape), steps_taken=steps, evaluations=solver.nfev)

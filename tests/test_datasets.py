@@ -1,10 +1,16 @@
-"""Dataset generation contracts: the worker count never changes the data."""
+"""Dataset generation contracts: the worker count never changes the data,
+and loading rejects a malformed dataset directory."""
 
 from __future__ import annotations
 
+import json
+import shutil
+
 import numpy as np
+import pytest
 
 from pertmap import datasets
+from pertmap.errors import InvalidArgumentError
 
 
 def _assert_identical(a: datasets.PerturbationDataset, b: datasets.PerturbationDataset) -> None:
@@ -28,3 +34,85 @@ def test_grn_dataset_is_worker_count_invariant():
     serial = datasets.generate_grn_dataset(2, 4, 20, base_seed=5, workers=1)
     parallel = datasets.generate_grn_dataset(2, 4, 20, base_seed=5, workers=2)
     _assert_identical(serial, parallel)
+
+
+def _saved(tmp_path):
+    """A saved 1-context SCM dataset and its manifest as a dict."""
+    datasets.save_dataset(datasets.generate_scm_dataset(1, 3, 8, base_seed=4), tmp_path)
+    return json.loads((tmp_path / "manifest.json").read_text())
+
+
+def _rewrite(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_manifest_that_is_not_json_is_rejected(tmp_path):
+    _saved(tmp_path)
+    (tmp_path / "manifest.json").write_text("{not json")
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+def test_manifest_with_another_format_is_rejected(tmp_path):
+    manifest = _saved(tmp_path)
+    manifest["format"] = 2
+    _rewrite(tmp_path, manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["kind", "conditions"])
+def test_manifest_missing_a_key_is_rejected(tmp_path, key):
+    manifest = _saved(tmp_path)
+    del manifest[key]
+    _rewrite(tmp_path, manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+def test_entry_missing_its_file_is_rejected(tmp_path):
+    manifest = _saved(tmp_path)
+    del manifest["conditions"][1]["file"]
+    _rewrite(tmp_path, manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+def test_entry_with_an_unknown_kind_is_rejected(tmp_path):
+    manifest = _saved(tmp_path)
+    manifest["conditions"][1]["kind"] = "ctrl"
+    _rewrite(tmp_path, manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+def test_interventional_file_listed_as_obs_is_rejected(tmp_path):
+    manifest = _saved(tmp_path)
+    entry = manifest["conditions"][1]
+    assert entry["kind"] == "int"
+    entry["kind"] = "obs"
+    _rewrite(tmp_path, manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["../ctx00000_obs.bin", "sub/ctx00000_obs.bin", "..", ""])
+def test_entry_file_outside_the_directory_is_rejected(tmp_path, name):
+    manifest = _saved(tmp_path / "ds")
+    # Valid batch files wait at both escaped paths.
+    (tmp_path / "ds" / "sub").mkdir()
+    for copy in (tmp_path / "ctx00000_obs.bin", tmp_path / "ds" / "sub" / "ctx00000_obs.bin"):
+        shutil.copy(tmp_path / "ds" / "ctx00000_obs.bin", copy)
+    manifest["conditions"][0]["file"] = name
+    _rewrite(tmp_path / "ds", manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("key", ["d", "n"])
+def test_manifest_size_that_disagrees_with_the_files_is_rejected(tmp_path, key):
+    manifest = _saved(tmp_path)
+    manifest[key] += 1
+    _rewrite(tmp_path, manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)

@@ -32,7 +32,7 @@ def test_matches_scipy_on_nonlinear_field():
 
     y0 = rng.standard_normal(4)
     ours = integrate_dopri5(field, y0, 0.0, 2.0, rtol=1e-8, atol=1e-10)
-    ref = solve_ivp(field, (0.0, 2.0), y0, method="RK45", rtol=1e-10, atol=1e-12)
+    ref = solve_ivp(field, (0.0, 2.0), y0, method="DOP853", rtol=1e-10, atol=1e-12)
     assert np.allclose(ours.y, ref.y[:, -1], rtol=1e-6, atol=1e-8)
 
 
@@ -49,3 +49,30 @@ def test_tolerances_control_accuracy():
     exact = np.exp(1.0)
     assert abs(tight.y[0] - exact) <= abs(loose.y[0] - exact)
     assert tight.steps_taken > loose.steps_taken
+
+
+def test_evaluations_count_every_field_call():
+    # The benchmark reads attempted steps as (evaluations - 1) // 6.
+    calls = 0
+
+    def field(t, y):
+        nonlocal calls
+        calls += 1
+        return 5.0 * np.sin(20.0 * t) * np.cos(y)
+
+    res = integrate_dopri5(field, np.ones((3, 2)), 0.0, 1.0)
+    assert res.evaluations == calls
+    assert (res.evaluations - 1) // 6 >= res.steps_taken > 0
+
+
+def test_non_finite_field_fails_at_once():
+    times = []
+
+    def field(t, y):
+        times.append(t)
+        return np.full_like(y, np.nan) if t > 0.3 else -y
+
+    with pytest.raises(NumericalFailureError):
+        integrate_dopri5(field, np.ones(3), 0.0, 1.0)
+    first_nan = next(i for i, t in enumerate(times) if t > 0.3)
+    assert len(times) - (first_nan + 1) <= 6
