@@ -7,8 +7,12 @@ exactly what the transformer needs: elementwise arithmetic with numpy
 broadcasting, matmul (with batched leading dimensions), a few pointwise
 nonlinearities, reductions, reshaping, slicing, and concatenation.
 
-Training code runs the graph in float32; gradient-check tests build the same
-graph in float64, where central finite differences are trustworthy.
+The graph runs in the dtype of its parameters: float32 for training,
+float64 for gradient checks, where central finite differences are
+trustworthy.  A constant (a Python or numpy scalar, or an ndarray) combined
+with a Tensor by ``add``, ``sub``, ``mul``, ``div`` or ``matmul`` takes that
+Tensor's dtype, so constants and input data never widen the graph; two
+Tensors keep numpy's promotion.
 """
 
 from __future__ import annotations
@@ -186,8 +190,13 @@ class Tensor:
         return transpose(self, tuple(axes))
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a constant takes its partner's dtype."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.dtype))
+    elif not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
+    return a, b
 
 
 def _make(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
@@ -205,7 +214,7 @@ def _make(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -215,7 +224,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data - b.data
 
     def backward(g):
@@ -225,7 +234,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data * b.data
 
     def backward(g):
@@ -235,7 +244,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data / b.data
 
     def backward(g):
@@ -246,10 +255,9 @@ def div(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def power(a, exponent: float) -> Tensor:
+def power(a: Tensor, exponent: float) -> Tensor:
     if isinstance(exponent, Tensor):
         raise UnsupportedOperationError("only scalar exponents are supported")
-    a = as_tensor(a)
     data = a.data**exponent
 
     def backward(g):
@@ -259,7 +267,7 @@ def power(a, exponent: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise UnsupportedOperationError("matmul operands must have >= 2 dimensions")
     data = a.data @ b.data
@@ -272,8 +280,7 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
+def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
 
     def backward(g):
@@ -282,8 +289,7 @@ def exp(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
+def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
     def backward(g):
@@ -292,8 +298,7 @@ def tanh(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
+def sigmoid(a: Tensor) -> Tensor:
     # Stable logistic via tanh.
     data = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
 
@@ -303,8 +308,7 @@ def sigmoid(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
+def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
 
     def backward(g):
@@ -313,22 +317,18 @@ def sqrt(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False)),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False)),)
+        return ((a, np.broadcast_to(g, a.shape)),)
 
     return _make(data, (a,), backward)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     if axis is None:
         count = a.data.size
     elif isinstance(axis, int):
@@ -338,8 +338,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
+def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def backward(g):
@@ -348,8 +347,7 @@ def reshape(a, shape) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def transpose(a, axes: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
+def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = np.transpose(a.data, axes)
     inverse = np.argsort(axes)
 
@@ -359,11 +357,10 @@ def transpose(a, axes: tuple[int, ...]) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def take(a, key) -> Tensor:
+def take(a: Tensor, key) -> Tensor:
     """Basic (slice/integer) indexing; advanced index arrays are unsupported."""
     if isinstance(key, (np.ndarray, list, Tensor)):
         raise UnsupportedOperationError("advanced indexing is not differentiable here")
-    a = as_tensor(a)
     data = a.data[key]
 
     def backward(g):
@@ -375,7 +372,6 @@ def take(a, key) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise InvalidArgumentError("concat requires at least one tensor")
     data = np.concatenate([t.data for t in tensors], axis=axis)

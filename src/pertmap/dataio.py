@@ -147,7 +147,7 @@ def _model_config(path: Path, config: Any) -> ModelConfig:
         raise InvalidArgumentError(f"{path}: checkpoint header has no model_config object")
     config = dict(config)
     # Written by versions whose ModelConfig still carried this unread
-    # field; TrainConfig owns the value.
+    # field; the training module owns the value.
     config.pop("condition_drop_prob", None)
     unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
     if unknown:

@@ -197,30 +197,14 @@ def save_dataset(ds: PerturbationDataset, outdir: Path) -> None:
         dataio.write_batch_file(
             outdir / fname, ds.observational[context_id], dataio.KIND_OBSERVATIONAL, np.zeros(ds.d)
         )
-        entries.append(
-            {
-                "context": context_id,
-                "treatment": None,
-                "kind": "obs",
-                "file": fname,
-                "seed": mix_seed(ds.base_seed, context_id, 0, ROLE_OBS_NOISE),
-            }
-        )
+        entries.append({"context": context_id, "treatment": None, "kind": "obs", "file": fname})
     for key in sorted(ds.interventional):
         context_id, treatment = key
         fname = f"ctx{context_id:05d}_t{treatment:05d}.bin"
         dataio.write_batch_file(
             outdir / fname, ds.interventional[key], dataio.KIND_INTERVENTIONAL, ds.treatment_codes[key]
         )
-        entries.append(
-            {
-                "context": context_id,
-                "treatment": treatment,
-                "kind": "int",
-                "file": fname,
-                "seed": mix_seed(ds.base_seed, context_id, treatment, ROLE_INT_NOISE),
-            }
-        )
+        entries.append({"context": context_id, "treatment": treatment, "kind": "int", "file": fname})
     dataio.write_manifest(
         outdir / "manifest.json",
         {
@@ -239,9 +223,11 @@ def load_dataset(path: Path) -> PerturbationDataset:
     """Read a directory written by :func:`save_dataset`.
 
     Raises :class:`InvalidArgumentError` when the manifest is not format 1,
-    lacks a key, lists an entry kind other than obs/int or a file that is
-    not a plain name in the directory, or disagrees with a batch file's
-    kind word or (n, d) shape.
+    lacks a key, has a non-integer d, n, base_seed, context or
+    interventional treatment or a non-boolean paired, lists an entry kind
+    other than obs/int, a condition twice, a context without an
+    observational batch or a file that is not a plain name in the
+    directory, or disagrees with a batch file's kind word or (n, d) shape.
     """
     path = Path(path)
     manifest = dataio.read_manifest(path / "manifest.json")
@@ -250,17 +236,26 @@ def load_dataset(path: Path) -> PerturbationDataset:
         raise InvalidArgumentError(f"{path}: manifest format {manifest['format']!r} is not 1")
     if not isinstance(manifest["conditions"], list):
         raise InvalidArgumentError(f"{path}: manifest conditions must be a list")
+    if type(manifest["paired"]) is not bool:
+        raise InvalidArgumentError(f"{path}: manifest paired {manifest['paired']!r} is not a boolean")
     ds = PerturbationDataset(
         kind=manifest["kind"],
-        d=int(manifest["d"]),
-        n=int(manifest["n"]),
-        paired=bool(manifest["paired"]),
-        base_seed=int(manifest["base_seed"]),
+        d=_require_int(path, manifest, "d"),
+        n=_require_int(path, manifest, "n"),
+        paired=manifest["paired"],
+        base_seed=_require_int(path, manifest, "base_seed"),
     )
     for entry in manifest["conditions"]:
         _require_keys(entry, _ENTRY_KEYS, "manifest entry")
         if entry["kind"] not in ("obs", "int"):
             raise InvalidArgumentError(f"{path}: entry kind {entry['kind']!r} is not obs or int")
+        context = _require_int(path, entry, "context")
+        if entry["kind"] == "obs":
+            key, batches = context, ds.observational
+        else:
+            key, batches = (context, _require_int(path, entry, "treatment")), ds.interventional
+        if key in batches:
+            raise InvalidArgumentError(f"{path}: {entry['kind']} condition {key} is listed twice")
         name = entry["file"]
         if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
             raise InvalidArgumentError(f"{path}: entry file {name!r} is not a plain file name")
@@ -269,12 +264,12 @@ def load_dataset(path: Path) -> PerturbationDataset:
             raise InvalidArgumentError(f"{path / name}: batch kind {kind} but listed as {entry['kind']!r}")
         if values.shape != (ds.n, ds.d):
             raise InvalidArgumentError(f"{path / name}: shape {values.shape}, manifest says {(ds.n, ds.d)}")
-        if entry["kind"] == "obs":
-            ds.observational[entry["context"]] = values
-        else:
-            key = (entry["context"], entry["treatment"])
-            ds.interventional[key] = values
+        batches[key] = values
+        if entry["kind"] == "int":
             ds.treatment_codes[key] = code
+    orphans = sorted({c for c, _ in ds.interventional} - set(ds.observational))
+    if orphans:
+        raise InvalidArgumentError(f"{path}: contexts {orphans} have no observational batch")
     return ds
 
 
@@ -282,6 +277,13 @@ def _require_keys(obj, keys: Sequence[str], what: str) -> None:
     missing = [k for k in keys if k not in obj] if isinstance(obj, dict) else list(keys)
     if missing:
         raise InvalidArgumentError(f"{what} lacks {missing}")
+
+
+def _require_int(path: Path, obj: dict, key: str) -> int:
+    # bool is a subclass of int, so compare the type exactly.
+    if type(obj[key]) is not int:
+        raise InvalidArgumentError(f"{path}: manifest {key} {obj[key]!r} is not an integer")
+    return obj[key]
 
 
 # -- training bundles -----------------------------------------------------------

@@ -24,9 +24,10 @@ _LN_EPS = 1e-5
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x @ w + b with w of shape (in_width, out_width)."""
-    out = x @ w
+def linear(x: Tensor | np.ndarray, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """x @ w + b with w of shape (in_width, out_width); x is a Tensor or an
+    input array, which takes w's dtype."""
+    out = ad.matmul(x, w)
     if b is not None:
         out = out + b
     return out

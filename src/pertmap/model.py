@@ -155,9 +155,8 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
     return params
 
 
-def _time_embedding(params: ParameterSet, tau: float, dtype) -> Tensor:
-    t = Tensor(np.array([[tau]], dtype=dtype))
-    h = silu(linear(t, params["time.l1.w"], params["time.l1.b"]))
+def _time_embedding(params: ParameterSet, tau: float) -> Tensor:
+    h = silu(linear(np.array([[tau]]), params["time.l1.w"], params["time.l1.b"]))
     return linear(h, params["time.l2.w"], params["time.l2.b"])
 
 
@@ -185,8 +184,7 @@ def forward(
     """Velocity prediction for the M noised query cells, shape (M, d)."""
     cfg.validate()
     d = cfg.max_genes
-    dtype = params["out.w"].dtype
-    y_tau = np.asarray(noised.y_tau, dtype=dtype)
+    y_tau = noised.y_tau
     if y_tau.ndim != 2 or y_tau.shape[1] != d:
         raise InvalidArgumentError(f"query shape {y_tau.shape} does not match gene count {d}")
     if bundle.k > cfg.max_context:
@@ -195,10 +193,10 @@ def forward(
         raise InvalidArgumentError("bundle width does not match the configured gene count")
     m = y_tau.shape[0]
 
-    temb = _time_embedding(params, noised.tau, dtype)
+    temb = _time_embedding(params, noised.tau)
 
     noise_tokens = ad.concat(
-        [linear(Tensor(y_tau), params["in.noise.w"], params["in.noise.b"]), params["emb.registers"]],
+        [linear(y_tau, params["in.noise.w"], params["in.noise.b"]), params["emb.registers"]],
         axis=0,
     )
 
@@ -207,23 +205,19 @@ def forward(
         streams = [noise_tokens, null]
         stream_names = ["noise", "cells"]
     else:
-        cell_parts = [
-            linear(Tensor(np.asarray(bundle.y_obs, dtype=dtype)), params["in.cells.w"], params["in.cells.b"])
-            + params["emb.flag_obs"]
-        ]
+        cell_parts = [linear(bundle.y_obs, params["in.cells.w"], params["in.cells.b"]) + params["emb.flag_obs"]]
         slots = bundle.slots()
         for (code, batch), slot in zip(bundle.context, slots):
             if not 0 <= slot < cfg.max_context:
                 raise InvalidArgumentError(f"slot {slot} out of range for max_context {cfg.max_context}")
             if batch.shape[1] != d or code.shape[0] != d:
                 raise InvalidArgumentError("context widths do not match the configured gene count")
-            tokens = linear(Tensor(np.asarray(batch, dtype=dtype)), params["in.cells.w"], params["in.cells.b"])
+            tokens = linear(batch, params["in.cells.w"], params["in.cells.b"])
             cell_parts.append(tokens + params["emb.flag_int"] + params["emb.slot"][slot])
         cells = ad.concat(cell_parts, axis=0) if len(cell_parts) > 1 else cell_parts[0]
 
-        codes = [np.asarray(c, dtype=dtype).reshape(1, d) for c, _ in bundle.context]
-        codes.append(np.asarray(bundle.query_code, dtype=dtype).reshape(1, d))
-        treat_tokens = linear(Tensor(np.concatenate(codes, axis=0)), params["in.treat.w"], params["in.treat.b"])
+        codes = np.stack([c for c, _ in bundle.context] + [bundle.query_code])
+        treat_tokens = linear(codes, params["in.treat.w"], params["in.treat.b"])
         parts = [
             treat_tokens[i : i + 1] + params["emb.slot"][slot] for i, slot in enumerate(slots)
         ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,24 +28,24 @@ from .model import ExperimentBundle, ModelConfig, NoisedQuery, build_model, forw
 from .ode import integrate_dopri5
 
 
+WARMUP_FRAC = 0.01
+DECAY_FRAC = 0.20
+CONDITION_DROP_PROB = 0.2
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     total_steps: int
     peak_lr: float = 1e-4
-    warmup_frac: float = 0.01
-    decay_frac: float = 0.20
     ema_decay: float = 0.999
     batch_size: int = 8  # bundles per step
-    condition_drop_prob: float = 0.2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.warmup_frac < 1.0 and 0.0 < self.decay_frac < 1.0):
-            raise InvalidArgumentError("warmup_frac and decay_frac must lie in (0, 1)")
         if self.total_steps < 1:
             raise InvalidArgumentError("total_steps must be >= 1")
 
@@ -75,12 +75,12 @@ def sample_time(rng: np.random.Generator) -> float:
 def wsd_lr(step: int, cfg: TrainConfig) -> float:
     """Warmup-stable-decay schedule.
 
-    Linear ramp to the peak over the first warmup_frac of the steps, flat
-    until the final decay_frac, then a square-root decay to zero.
+    Linear ramp to the peak over the first WARMUP_FRAC of the steps, flat
+    until the final DECAY_FRAC, then a square-root decay to zero.
     """
     total = cfg.total_steps
-    warmup = max(1, round(cfg.warmup_frac * total))
-    decay_start = total - round(cfg.decay_frac * total)
+    warmup = max(1, round(WARMUP_FRAC * total))
+    decay_start = total - round(DECAY_FRAC * total)
     if step <= warmup:
         return cfg.peak_lr * step / warmup
     if step <= decay_start:
@@ -107,10 +107,9 @@ def cfm_loss(
     y0 = np.asarray(y0)
     if y0.shape != target.shape:
         raise InvalidArgumentError(f"noise shape {y0.shape} != target shape {target.shape}")
-    dtype = params["out.w"].dtype
-    y_tau = ((1.0 - tau) * y0 + tau * target).astype(dtype)
+    y_tau = (1.0 - tau) * y0 + tau * target
     v = forward(params, model_cfg, NoisedQuery(y_tau, tau), bundle, drop_condition)
-    diff = v - Tensor((target - y0).astype(dtype))
+    diff = v - (target - y0)
     return (diff * diff).mean()
 
 
@@ -125,20 +124,19 @@ class AdamW:
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        c = self.cfg
         self.t += 1
-        bias1 = 1.0 - c.adam_beta1**self.t
-        bias2 = 1.0 - c.adam_beta2**self.t
+        bias1 = 1.0 - ADAM_BETA1**self.t
+        bias2 = 1.0 - ADAM_BETA2**self.t
         for name, p in self.params.items():
             g = grads[name]
             m = self._m[name]
             v = self._v[name]
-            m *= c.adam_beta1
-            m += (1.0 - c.adam_beta1) * g
-            v *= c.adam_beta2
-            v += (1.0 - c.adam_beta2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + c.adam_eps)
-            p.data = p.data - lr * (update + c.weight_decay * p.data)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            p.data = p.data - lr * (update + WEIGHT_DECAY * p.data)
 
 
 def ema_update(ema: dict[str, np.ndarray], params: ParameterSet, decay: float) -> None:
@@ -152,7 +150,6 @@ def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     bundle_stream: Iterator[ExperimentBundle],
-    params: Optional[ParameterSet] = None,
 ) -> TrainResult:
     """Run the pretraining loop; deterministic given configs and stream.
 
@@ -161,8 +158,7 @@ def train(
     dropped), applies one AdamW update at the scheduled learning rate, and
     advances the weight EMA.  Aborts on a non-finite loss.
     """
-    if params is None:
-        params = build_model(model_cfg, train_cfg.seed)
+    params = build_model(model_cfg, train_cfg.seed)
     rng = np.random.default_rng(train_cfg.seed)
     optimizer = AdamW(params, train_cfg)
     ema = {name: p.data.copy() for name, p in params.items()}
@@ -175,9 +171,9 @@ def train(
             bundle = next(bundle_stream)
             tau = sample_time(rng)
             y0 = rng.standard_normal(bundle.target.shape)
-            drop = rng.random() < train_cfg.condition_drop_prob
+            drop = rng.random() < CONDITION_DROP_PROB
             loss = cfm_loss(params, model_cfg, bundle, tau, y0, drop)
-            loss.backward(seed=np.asarray(1.0 / train_cfg.batch_size, dtype=loss.dtype))
+            loss.backward(seed=1.0 / train_cfg.batch_size)
             batch_loss += float(loss.data)
         batch_loss /= train_cfg.batch_size
         if not math.isfinite(batch_loss):

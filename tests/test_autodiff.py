@@ -54,6 +54,14 @@ def test_matmul_2d_and_batched():
     check_grads(lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [ab, b])
 
 
+def test_constants_take_the_tensor_dtype():
+    x = Tensor(np.ones((2, 2), dtype=np.float32))
+    outs = [x + 1.0, 1.0 - x, x * np.float64(0.5), 2.0 / x, x @ np.eye(2), ad.matmul(np.eye(2), x), x.mean()]
+    assert all(out.dtype == np.float32 for out in outs)
+    # Two Tensors keep numpy's promotion.
+    assert (x + Tensor(np.ones(2))).dtype == np.float64
+
+
 def test_matmul_rejects_vectors():
     with pytest.raises(UnsupportedOperationError):
         ad.matmul(Tensor(_arr(3)), Tensor(_arr(3, 2)))

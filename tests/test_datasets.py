@@ -9,8 +9,9 @@ import shutil
 import numpy as np
 import pytest
 
-from pertmap import datasets
+from pertmap import datasets, scm
 from pertmap.errors import InvalidArgumentError
+from pertmap.seeding import ROLE_STRUCTURE, mix_seed
 
 
 def _assert_identical(a: datasets.PerturbationDataset, b: datasets.PerturbationDataset) -> None:
@@ -116,3 +117,67 @@ def test_manifest_size_that_disagrees_with_the_files_is_rejected(tmp_path, key):
     _rewrite(tmp_path, manifest)
     with pytest.raises(InvalidArgumentError):
         datasets.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("d", "abc"), ("d", None), ("n", 8.9), ("base_seed", [1]), ("base_seed", True), ("paired", "no")],
+)
+def test_manifest_value_of_the_wrong_type_is_rejected(tmp_path, key, value):
+    manifest = _saved(tmp_path)
+    manifest[key] = value
+    _rewrite(tmp_path, manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "index, key, value",
+    [(0, "context", [0]), (1, "context", True), (1, "treatment", [0]), (1, "treatment", "0"), (1, "treatment", None)],
+)
+def test_entry_value_of_the_wrong_type_is_rejected(tmp_path, index, key, value):
+    manifest = _saved(tmp_path)
+    manifest["conditions"][index][key] = value
+    _rewrite(tmp_path, manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_entry_listed_twice_is_rejected(tmp_path, index):
+    manifest = _saved(tmp_path)
+    manifest["conditions"].append(dict(manifest["conditions"][index]))
+    _rewrite(tmp_path, manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+def test_context_without_an_observational_batch_is_rejected(tmp_path):
+    manifest = _saved(tmp_path)
+    assert manifest["conditions"][0]["kind"] == "obs"
+    del manifest["conditions"][0]
+    _rewrite(tmp_path, manifest)
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+def test_manifest_entries_with_a_seed_still_load(tmp_path):
+    # Earlier versions wrote an unread per-entry "seed".
+    manifest = _saved(tmp_path)
+    expected = datasets.load_dataset(tmp_path)
+    for i, entry in enumerate(manifest["conditions"]):
+        entry["seed"] = 1000 + i
+    _rewrite(tmp_path, manifest)
+    _assert_identical(datasets.load_dataset(tmp_path), expected)
+
+
+def test_paired_scm_dataset_changes_only_the_treated_gene_and_its_descendants():
+    for base_seed in range(20):
+        paired = datasets.generate_scm_dataset(3, 6, 40, paired=True, base_seed=base_seed)
+        unpaired = datasets.generate_scm_dataset(3, 6, 40, paired=False, base_seed=base_seed)
+        for (c, t), batch in paired.interventional.items():
+            dag = scm.sample_dag(6, 0.5, np.random.default_rng(mix_seed(base_seed, c, 0, ROLE_STRUCTURE)))
+            rest = sorted(set(range(6)) - {t} - scm.descendants(dag, t))
+            assert np.array_equal(batch[:, rest], paired.observational[c][:, rest])
+            diff = unpaired.interventional[(c, t)][:, rest] - unpaired.observational[c][:, rest]
+            assert np.all(np.abs(diff).max(axis=0) > 0.5)

@@ -145,8 +145,27 @@ def test_cfm_loss_gradients_match_finite_differences():
     assert worst < 1e-3, worst
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cfm_loss_tape_runs_in_the_parameters_dtype(dtype):
+    # Float64 input data and Python constants must not widen the graph.
+    params = mdl.build_model(MICRO_CFG, seed=5, dtype=dtype)
+    rng = np.random.default_rng(7)
+    bundle = _micro_bundle(rng)
+    loss = tr.cfm_loss(params, MICRO_CFG, bundle, 0.37, rng.standard_normal(bundle.target.shape))
+    tape = {id(loss): loss}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in tape:
+                tape[id(parent)] = parent
+                stack.append(parent)
+    assert {t.dtype for t in tape.values()} == {np.dtype(dtype)}
+    loss.backward()
+    assert {g.dtype for g in params.grads().values()} == {np.dtype(dtype)}
+
+
 def test_adamw_matches_reference_update():
-    cfg = tr.TrainConfig(total_steps=10, weight_decay=0.01)
+    cfg = tr.TrainConfig(total_steps=10)
     params = mdl.build_model(MICRO_CFG, seed=0)
     name = "out.b"
     params[name].data = np.full(4, 2.0, dtype=np.float32)
@@ -156,7 +175,7 @@ def test_adamw_matches_reference_update():
     grads[name] = g
     opt.step(grads, lr=1e-3)
     # Reference: bias-corrected first step has m_hat = g, v_hat = g^2.
-    expected = 2.0 - 1e-3 * (0.5 / (0.5 + cfg.adam_eps) + 0.01 * 2.0)
+    expected = 2.0 - 1e-3 * (0.5 / (0.5 + tr.ADAM_EPS) + 0.01 * 2.0)
     assert np.allclose(params[name].data, expected, rtol=1e-6)
 
 
