@@ -3,14 +3,22 @@
 A :class:`Tensor` wraps an ndarray and records the operations applied to it;
 ``backward`` replays the tape in reverse topological order and accumulates
 gradients into every tensor with ``requires_grad``.  The primitive set is
-exactly what the transformer needs: elementwise arithmetic with numpy
-broadcasting, matmul (with batched leading dimensions), a few pointwise
-nonlinearities, reductions, reshaping, slicing, and concatenation.
+exactly what the transformer needs beyond its fused layers (see
+:mod:`pertmap.layers`): ``add``, ``sub`` and ``mul`` with numpy
+broadcasting, ``matmul`` (with batched leading dimensions), ``sigmoid``,
+``sum_`` and ``mean``, ``reshape``, ``transpose``, basic-index ``take``, and
+``concat``.
+
+Every primitive builds its output through :func:`_make`, from the result
+array and one ``(operand, vjp)`` pair per operand, where ``vjp`` maps the
+output's gradient to that operand's.  ``_make`` keeps only the operands on
+the tape (parameters and results of recorded ops), so the backward sweep
+never computes a gradient that nothing reads.
 
 The graph runs in the dtype of its parameters: float32 for training,
 float64 for gradient checks, where central finite differences are
 trustworthy.  A constant (a Python or numpy scalar, or an ndarray) combined
-with a Tensor by ``add``, ``sub``, ``mul``, ``div`` or ``matmul`` takes that
+with a Tensor by ``add``, ``sub``, ``mul`` or ``matmul`` takes that
 Tensor's dtype, so constants and input data never widen the graph; two
 Tensors keep numpy's promotion.
 """
@@ -62,7 +70,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._backward: Optional[Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -119,7 +127,9 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        adjoint: dict[int, np.ndarray] = {id(self): np.array(seed)}
+        # Gradients may be views or broadcasts, so they are summed out of
+        # place and never written to.
+        adjoint: dict[int, np.ndarray] = {id(self): seed}
         for node in reversed(order):
             g = adjoint.pop(id(node), None)
             if g is None:
@@ -129,10 +139,8 @@ class Tensor:
             if node._backward is None:
                 continue
             for parent, pg in node._backward(g):
-                if id(parent) in adjoint:
-                    adjoint[id(parent)] += pg
-                else:
-                    adjoint[id(parent)] = np.array(pg)
+                key = id(parent)
+                adjoint[key] = adjoint[key] + pg if key in adjoint else pg
 
     # -- operator sugar ---------------------------------------------------
 
@@ -154,20 +162,11 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -190,23 +189,40 @@ class Tensor:
         return transpose(self, tuple(axes))
 
 
+def _wrap(data: np.ndarray) -> Tensor:
+    """A tape-free Tensor around a float array, without ``__init__``'s checks."""
+    out = Tensor.__new__(Tensor)
+    # Arithmetic on 0-d arrays returns numpy scalars.
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    return out
+
+
 def _operands(a, b) -> tuple[Tensor, Tensor]:
     """Both operands as Tensors; a constant takes its partner's dtype."""
     if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.dtype))
+        a = _wrap(np.asarray(a, dtype=b.dtype))
     elif not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.dtype))
+        b = _wrap(np.asarray(b, dtype=a.dtype))
     return a, b
 
 
-def _make(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
-    """Build an output tensor, attaching the tape entry only when needed."""
-    out = Tensor(data)
+def _make(data: np.ndarray, vjps: Iterable[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]) -> Tensor:
+    """Build an output tensor from its (operand, vjp) pairs.
+
+    Only operands on the tape, the ones that require a gradient or were
+    produced by a recorded op, become parents; the vjps of the others are
+    never called.
+    """
+    out = _wrap(data)
     if _grad_enabled:
-        parents = tuple(p for p in parents if p.requires_grad or p._parents or p._backward)
-        if parents:
-            out._parents = parents
-            out._backward = backward
+        live = [(p, vjp) for p, vjp in vjps if p.requires_grad or p._backward is not None]
+        if live:
+            out._parents = tuple(p for p, _ in live)
+            out._backward = lambda g: [(p, vjp(g)) for p, vjp in live]
     return out
 
 
@@ -215,117 +231,57 @@ def _make(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
-    data = a.data + b.data
-
-    def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
-
-    return _make(data, (a, b), backward)
+    return _make(
+        a.data + b.data,
+        ((a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(g, b.shape))),
+    )
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
-    data = a.data - b.data
-
-    def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
-
-    return _make(data, (a, b), backward)
+    return _make(
+        a.data - b.data,
+        ((a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(-g, b.shape))),
+    )
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    data = a.data * b.data
-
-    def backward(g):
-        return ((a, _unbroadcast(g * b.data, a.shape)), (b, _unbroadcast(g * a.data, b.shape)))
-
-    return _make(data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    data = a.data / b.data
-
-    def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ((a, ga), (b, gb))
-
-    return _make(data, (a, b), backward)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    if isinstance(exponent, Tensor):
-        raise UnsupportedOperationError("only scalar exponents are supported")
-    data = a.data**exponent
-
-    def backward(g):
-        return ((a, g * exponent * a.data ** (exponent - 1)),)
-
-    return _make(data, (a,), backward)
+    return _make(
+        a.data * b.data,
+        (
+            (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+            (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+        ),
+    )
 
 
 def matmul(a, b) -> Tensor:
     a, b = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise UnsupportedOperationError("matmul operands must have >= 2 dimensions")
-    data = a.data @ b.data
-
-    def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ((a, ga), (b, gb))
-
-    return _make(data, (a, b), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        return ((a, g * data),)
-
-    return _make(data, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def backward(g):
-        return ((a, g * (1.0 - data * data)),)
-
-    return _make(data, (a,), backward)
+    return _make(
+        a.data @ b.data,
+        (
+            (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)),
+            (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
+        ),
+    )
 
 
 def sigmoid(a: Tensor) -> Tensor:
     # Stable logistic via tanh.
     data = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
-
-    def backward(g):
-        return ((a, g * data * (1.0 - data)),)
-
-    return _make(data, (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        return ((a, g * 0.5 / data),)
-
-    return _make(data, (a,), backward)
+    return _make(data, ((a, lambda g: g * data * (1.0 - data)),))
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
+    def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(g, a.shape)),)
+        return np.broadcast_to(g, a.shape)
 
-    return _make(data, (a,), backward)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), ((a, vjp),))
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -339,54 +295,42 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        return ((a, g.reshape(a.shape)),)
-
-    return _make(data, (a,), backward)
+    return _make(a.data.reshape(shape), ((a, lambda g: g.reshape(a.shape)),))
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    data = np.transpose(a.data, axes)
     inverse = np.argsort(axes)
-
-    def backward(g):
-        return ((a, np.transpose(g, inverse)),)
-
-    return _make(data, (a,), backward)
+    return _make(np.transpose(a.data, axes), ((a, lambda g: np.transpose(g, inverse)),))
 
 
 def take(a: Tensor, key) -> Tensor:
     """Basic (slice/integer) indexing; advanced index arrays are unsupported."""
     if isinstance(key, (np.ndarray, list, Tensor)):
         raise UnsupportedOperationError("advanced indexing is not differentiable here")
-    data = a.data[key]
 
-    def backward(g):
+    def vjp(g):
         full = np.zeros_like(a.data)
         full[key] = g
-        return ((a, full),)
+        return full
 
-    return _make(data, (a,), backward)
+    return _make(a.data[key], ((a, vjp),))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise InvalidArgumentError("concat requires at least one tensor")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors]).tolist()
 
-    def backward(g):
-        slicer = [slice(None)] * g.ndim
-        grads = []
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            slicer[axis] = slice(int(lo), int(hi))
-            grads.append((t, g[tuple(slicer)]))
-        return tuple(grads)
+    def piece(lo: int, hi: int):
+        def vjp(g):
+            slicer = [slice(None)] * g.ndim
+            slicer[axis] = slice(lo, hi)
+            return g[tuple(slicer)]
 
-    return _make(data, tensors, backward)
+        return vjp
+
+    return _make(data, ((t, piece(lo, hi)) for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:])))
 
 
 # -- parameter collections ----------------------------------------------

@@ -339,15 +339,17 @@ def _simulate_block(grn, cfg, cells, seed, reg_idx, strengths, halves, scatter, 
     rngs = [np.random.default_rng(mix_seed(seed, c)) for c in cells]
     x = np.zeros((block, genes))
     sqrt_dt = math.sqrt(cfg.dt)
+    # One buffer, refilled per chunk: row i holds cell i's draws.
+    buffer = np.empty((block, min(_STEP_CHUNK, cfg.burn_in_steps), 2, genes))
 
     done = 0
     while done < cfg.burn_in_steps:
         chunk = min(_STEP_CHUNK, cfg.burn_in_steps - done)
         # Per-cell streams: chunked draws consume each stream sequentially,
         # so block/chunk boundaries cannot change the numbers.
-        noise = np.stack(
-            [rng.standard_normal((chunk, 2, genes)) for rng in rngs], axis=0
-        )
+        noise = buffer[:, :chunk]
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[i])
         for s in range(chunk):
             production = basal[None, :].repeat(block, axis=0)
             if len(reg_idx) > 0:

@@ -7,6 +7,10 @@ streams, splits the result back, and applies per-stream output projections.
 There is no positional encoding anywhere; attention is permutation
 equivariant in the query rows and permutation invariant in the key/value
 rows (the latter up to floating-point summation order).
+
+``linear`` (with its bias), ``layer_norm``, ``gelu``, ``softmax`` and the
+FiLM modulation in ``film_modulate`` are fused: each records one tape node
+with a hand-written backward, built through ``autodiff._make``.
 """
 
 from __future__ import annotations
@@ -22,21 +26,36 @@ from .errors import InvalidArgumentError
 
 _LN_EPS = 1e-5
 _GELU_C = float(np.sqrt(2.0 / np.pi))
+_GELU_A = 0.044715
 
 
 def linear(x: Tensor | np.ndarray, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x @ w + b with w of shape (in_width, out_width); x is a Tensor or an
-    input array, which takes w's dtype."""
-    out = ad.matmul(x, w)
+    """x @ w + b with w of shape (in_width, out_width), as one tape node; x is
+    a Tensor or an input array, which takes w's dtype."""
+    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=w.dtype)
+    data = xd @ w.data
     if b is not None:
-        out = out + b
-    return out
+        data += b.data
+    out_width = data.shape[-1]
+    vjps = [(w, lambda g: xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, out_width))]
+    if b is not None:
+        vjps.append((b, lambda g: g.reshape(-1, out_width).sum(axis=0)))
+    if isinstance(x, Tensor):
+        vjps.append((x, lambda g: g @ w.data.T))
+    return ad._make(data, vjps)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
-    inner = ad.tanh((x + x * x * x * 0.044715) * _GELU_C)
-    return x * (inner + 1.0) * 0.5
+    """GELU, tanh approximation, as one tape node."""
+    xd = x.data
+    t = np.tanh(_GELU_C * (xd + _GELU_A * xd * xd * xd))
+    data = 0.5 * xd * (1.0 + t)
+
+    def vjp(g):
+        dt = (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd))
+        return g * (0.5 * (1.0 + t) + 0.5 * xd * dt)
+
+    return ad._make(data, ((x, vjp),))
 
 
 def silu(x: Tensor) -> Tensor:
@@ -44,40 +63,51 @@ def silu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor) -> Tensor:
-    """Standardize each token (last axis) to mean 0, variance 1.
+    """Standardize each token (last axis) to mean 0, variance 1, as one tape
+    node; the backward is Ba et al. (2016)'s.
 
     There is no learned affine: FiLM modulation supplies it.
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / ad.sqrt(var + _LN_EPS)
+    xd = x.data
+    centered = xd - xd.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + _LN_EPS)
+    data = centered * inv_std
+
+    def vjp(g):
+        gy = (g * data).mean(axis=-1, keepdims=True)
+        return inv_std * (g - g.mean(axis=-1, keepdims=True) - data * gy)
+
+    return ad._make(data, ((x, vjp),))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    # Shift by the detached max; subtracting a constant leaves softmax unchanged.
-    shifted = x - x.data.max(axis=axis, keepdims=True)
-    e = ad.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax along ``axis`` as one tape node; the backward is
+    y * (g - sum(g * y)), as in FlashAttention (Dao et al. 2022)."""
+    # Shifting by the max leaves softmax unchanged.
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    data = e / e.sum(axis=axis, keepdims=True)
+    return ad._make(data, ((x, lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True))),))
 
 
 def film_modulate(x: Tensor, time_embedding: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Feature-wise linear modulation (1 + gamma) * x + beta.
 
     gamma and beta come from a learned projection of the time embedding;
-    zero-initialized projections make this the identity map.
+    zero-initialized projections make this the identity map.  The projection
+    is one ``linear`` node and the modulation one more.
     """
     width = x.shape[-1]
-    if time_embedding.ndim == 1:
-        time_embedding = time_embedding.reshape((1, time_embedding.shape[0]))
+    if w.shape[-1] != 2 * width:
+        raise InvalidArgumentError(f"FiLM projection produces width {w.shape[-1]}, expected {2 * width}")
     gb = linear(time_embedding, w, b)
-    if gb.shape[-1] != 2 * width:
-        raise InvalidArgumentError(
-            f"FiLM projection produces width {gb.shape[-1]}, expected {2 * width}"
-        )
-    gamma = gb[..., :width]
-    beta = gb[..., width:]
-    return x * (gamma + 1.0) + beta
+    scale = 1.0 + gb.data[..., :width]
+    data = x.data * scale + gb.data[..., width:]
+
+    def gb_vjp(g):
+        d_gamma = ad._unbroadcast(g * x.data, scale.shape)
+        return np.concatenate([d_gamma, ad._unbroadcast(g, scale.shape)], axis=-1)
+
+    return ad._make(data, ((x, lambda g: g * scale), (gb, gb_vjp)))
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,19 @@ def integrate_dopri5(
     y0: np.ndarray,
     t0: float,
     t1: float,
-    rtol: float = 1e-4,
-    atol: float = 1e-5,
+    rtol: float = 1e-3,
+    atol: float = 1e-4,
     max_steps: int = 2000,
 ) -> OdeResult:
     """Integrate dy/dt = field(t, y) from t0 to t1 (t1 > t0).
 
     The error norm is the RMS of the componentwise error scaled by
     atol + rtol * max(|y|, |y_new|); a step is accepted when it is below 1.
+    The defaults, rtol 1e-3 and atol 1e-4, sit below the error of a trained
+    velocity field: on 39 of 40 benchmark pipelines, a solve at rtol 1e-4
+    and atol 1e-5 took 1.1-3.5x the field evaluations and moved no sample's
+    Sinkhorn divergence to the truth by more than 0.2% relative; on the
+    fortieth, an ill-conditioned flow, it exhausted the step budget.
     ``max_steps`` bounds the accepted steps: RK45 retries a rejected attempt
     inside one step, so rejections do not count against it.  Raises
     :class:`NumericalFailureError` when t1 <= t0, when the budget is

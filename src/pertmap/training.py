@@ -54,7 +54,8 @@ class TrainConfig:
 class GuidanceConfig:
     """Classifier-free guidance weight: omega = 1 samples the conditional
     flow alone, omega > 1 pushes away from the unconditional one.  The ODE
-    tolerances and step budget are ``integrate_dopri5``'s defaults."""
+    tolerances and step budget are ``integrate_dopri5``'s defaults: rtol
+    1e-3, atol 1e-4 and 2000 accepted steps."""
 
     omega: float = 2.0
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: central finite differences against the tape."""
+"""Shared test utilities: central finite differences against the tape, and
+unfused reference compositions of the fused layer primitives."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from pertmap import autodiff as ad
+from pertmap import layers
 from pertmap.autodiff import Tensor
 
 
@@ -51,3 +54,44 @@ def check_grads(build: Callable[[list[Tensor]], "Tensor"], arrays: list[np.ndarr
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     assert worst < tol, f"max relative gradient error {worst} >= {tol}"
     return worst
+
+
+# -- unfused references -----------------------------------------------------
+#
+# Each fused node of ``pertmap.layers`` rebuilt from the engine's generic
+# primitives plus elementwise nodes, the way the layers were composed before
+# they were fused.
+
+
+def pointwise(x: Tensor, f: Callable[[np.ndarray], np.ndarray], df: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """Elementwise f as a tape node; df is its derivative."""
+    return ad._make(f(x.data), ((x, lambda g: g * df(x.data)),))
+
+
+def ref_linear(x, w: Tensor, b: Tensor | None = None) -> Tensor:
+    out = ad.matmul(x, w)
+    return out + b if b is not None else out
+
+
+def ref_gelu(x: Tensor) -> Tensor:
+    inner = pointwise((x + x * x * x * 0.044715) * float(np.sqrt(2.0 / np.pi)), np.tanh, lambda v: 1.0 - np.tanh(v) ** 2)
+    return x * (inner + 1.0) * 0.5
+
+
+def ref_layer_norm(x: Tensor) -> Tensor:
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * pointwise(var + layers._LN_EPS, lambda v: 1.0 / np.sqrt(v), lambda v: -0.5 * v**-1.5)
+
+
+def ref_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    e = pointwise(x - x.data.max(axis=axis, keepdims=True), np.exp, np.exp)
+    return e * pointwise(e.sum(axis=axis, keepdims=True), lambda v: 1.0 / v, lambda v: -1.0 / (v * v))
+
+
+def ref_film_modulate(x: Tensor, time_embedding: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    width = x.shape[-1]
+    if time_embedding.ndim == 1:
+        time_embedding = time_embedding.reshape((1, time_embedding.shape[0]))
+    gb = ref_linear(time_embedding, w, b)
+    return x * (gb[..., :width] + 1.0) + gb[..., width:]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,21 @@ def test_simulate_is_bit_identical_across_block_and_chunk_boundaries(monkeypatch
     monkeypatch.setattr(grnmod, "_CELL_BLOCK", 4)
     monkeypatch.setattr(grnmod, "_STEP_CHUNK", 7)
     assert np.array_equal(grnmod.simulate_expression(g, cfg, 9, seed=99), whole)
+
+
+def test_simulate_holds_one_chunk_of_burn_in_noise():
+    # Each chunk's draws go into one reused (cells, chunk, 2, genes) buffer,
+    # not a per-cell list that is then stacked beside the previous chunk.
+    g = grnmod.sample_simulation_ready_grn(GrnConfig(genes=10), np.random.default_rng(4))
+    cells, cfg = 200, SergioConfig(burn_in_steps=1000)
+    chunk_bytes = cells * grnmod._STEP_CHUNK * 2 * g.genes * 8
+    tracemalloc.start()
+    try:
+        grnmod.simulate_expression(g, cfg, cells, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * chunk_bytes, peak / chunk_bytes
 
 
 def test_monotone_regulation_strengthening_activator():

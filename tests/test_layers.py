@@ -26,6 +26,10 @@ def _attn_params(width: int, rng) -> AttentionParams:
     return AttentionParams(wq=w(), wk=w(), wv=w(), wo=w(), bq=b(), bk=b(), bv=b(), bo=b())
 
 
+def _sq(t: Tensor) -> Tensor:
+    return t * t
+
+
 def _attn_arrays_to_params(arrs) -> AttentionParams:
     return AttentionParams(*arrs)
 
@@ -109,7 +113,7 @@ def test_film_gradcheck_through_projection():
     w = RNG.standard_normal((twidth, 2 * width)) * 0.3
     b = RNG.standard_normal(2 * width) * 0.1
     check_grads(
-        lambda ts: (layers.film_modulate(ts[0], ts[1], ts[2], ts[3]) ** 2).sum(),
+        lambda ts: _sq(layers.film_modulate(ts[0], ts[1], ts[2], ts[3])).sum(),
         [x, temb, w, b],
     )
 
@@ -190,6 +194,6 @@ def test_joint_attention_gradcheck():
         pa = AttentionParams(ts[2], ts[3], ts[4], ts[5], ts[10], ts[11], ts[12], ts[13])
         pb = AttentionParams(ts[6], ts[7], ts[8], ts[9], ts[14], ts[15], ts[16], ts[17])
         outs = layers.joint_attention([xs, ys], [pa, pb], heads, hd)
-        return (outs[0] ** 2).sum() + (outs[1] ** 2).sum()
+        return _sq(outs[0]).sum() + _sq(outs[1]).sum()
 
     check_grads(build, [x, y] + mats + vecs, tol=1e-4)

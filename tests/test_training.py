@@ -164,6 +164,31 @@ def test_cfm_loss_tape_runs_in_the_parameters_dtype(dtype):
     assert {g.dtype for g in params.grads().values()} == {np.dtype(dtype)}
 
 
+def test_cfm_loss_backward_returns_gradients_only_for_parents_on_the_tape():
+    # Input batches and constants are off the tape: no node's backward may
+    # spend a gradient on them.
+    params = mdl.build_model(MICRO_CFG, seed=5)
+    rng = np.random.default_rng(7)
+    bundle = _micro_bundle(rng)
+    loss = tr.cfm_loss(params, MICRO_CFG, bundle, 0.37, rng.standard_normal(bundle.target.shape))
+    seen = {id(loss)}
+    stack = [loss]
+    nodes = 0
+    while stack:
+        node = stack.pop()
+        if node._backward is not None:
+            nodes += 1
+            on_tape = {id(p) for p in node._parents}
+            for parent, grad in node._backward(np.ones_like(node.data)):
+                assert id(parent) in on_tape
+                assert grad.shape == parent.shape
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert nodes > 0
+
+
 def test_adamw_matches_reference_update():
     cfg = tr.TrainConfig(total_steps=10)
     params = mdl.build_model(MICRO_CFG, seed=0)
