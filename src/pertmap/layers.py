@@ -2,8 +2,9 @@
 softmax attention over concatenated token streams, and FiLM time modulation.
 
 Token matrices are (tokens, width).  Joint attention projects each stream
-with its own Q/K/V parameters, attends over the concatenation of all
-streams, splits the result back, and applies per-stream output projections.
+with its own K/V parameters, and each stream that has Q/O parameters with
+its own Q: those streams' queries attend over the concatenation of all
+streams' keys, and their results get per-stream output projections.
 There is no positional encoding anywhere; attention is permutation
 equivariant in the query rows and permutation invariant in the key/value
 rows (the latter up to floating-point summation order).
@@ -112,16 +113,17 @@ def film_modulate(x: Tensor, time_embedding: Tensor, w: Tensor, b: Tensor) -> Te
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Per-stream projection parameters of one joint-attention block."""
+    """Per-stream projection parameters of one joint-attention block; a stream
+    without ``wq`` (nor ``bq``, ``wo``, ``bo``) gives keys and values only."""
 
-    wq: Tensor
+    wq: Optional[Tensor]
     wk: Tensor
     wv: Tensor
-    wo: Tensor
-    bq: Tensor
+    wo: Optional[Tensor]
+    bq: Optional[Tensor]
     bk: Tensor
     bv: Tensor
-    bo: Tensor
+    bo: Optional[Tensor]
 
 
 def _split_heads(x: Tensor, heads: int, head_dim: int) -> Tensor:
@@ -137,24 +139,27 @@ def joint_attention(
 ) -> list[Tensor]:
     """Scaled dot-product attention over the concatenation of all streams.
 
-    Every stream is projected with its own Q/K/V, tokens are concatenated,
-    attention runs jointly, and the outputs are split back and passed
-    through per-stream output projections.  Streams may have zero tokens.
+    Every stream is projected to keys and values with its own K/V; the
+    streams with a query projection are projected to queries, which attend
+    jointly over all keys.  Their outputs are split back and passed through
+    per-stream output projections, and returned in stream order: one per
+    stream with a query projection.  Streams may have zero tokens.
     """
     if len(streams) != len(params):
         raise InvalidArgumentError("one parameter group per stream is required")
     width = heads * head_dim
     for s in streams:
-        if s.shape[-1] != params[0].wq.shape[0]:
+        if s.shape[-1] != params[0].wk.shape[0]:
             raise InvalidArgumentError(
-                f"stream width {s.shape[-1]} does not match projection input {params[0].wq.shape[0]}"
+                f"stream width {s.shape[-1]} does not match projection input {params[0].wk.shape[0]}"
             )
-    if params[0].wq.shape[1] != width:
+    if params[0].wk.shape[1] != width:
         raise InvalidArgumentError(
-            f"projection output {params[0].wq.shape[1]} does not equal heads*head_dim={width}"
+            f"projection output {params[0].wk.shape[1]} does not equal heads*head_dim={width}"
         )
 
-    q = ad.concat([linear(s, p.wq, p.bq) for s, p in zip(streams, params)], axis=0)
+    querying = [(s, p) for s, p in zip(streams, params) if p.wq is not None]
+    q = ad.concat([linear(s, p.wq, p.bq) for s, p in querying], axis=0)
     k = ad.concat([linear(s, p.wk, p.bk) for s, p in zip(streams, params)], axis=0)
     v = ad.concat([linear(s, p.wv, p.bv) for s, p in zip(streams, params)], axis=0)
 
@@ -169,7 +174,7 @@ def joint_attention(
 
     outputs = []
     start = 0
-    for s, p in zip(streams, params):
+    for s, p in querying:
         stop = start + s.shape[0]
         outputs.append(linear(merged[start:stop], p.wo, p.bo))
         start = stop

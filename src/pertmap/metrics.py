@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.stats import false_discovery_control, mannwhitneyu
 
 from .errors import (
@@ -55,11 +56,6 @@ class MetricConfig:
 
 
 # -- entropic optimal transport -------------------------------------------
-
-
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 # Upper bound on the Sinkhorn scalings u and v: an update that would take
@@ -178,9 +174,9 @@ def sinkhorn_divergence(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = Me
     if y.shape[0] < 1 or y_hat.shape[0] < 1:
         raise InvalidArgumentError("both samples must be non-empty")
     eps, iters, tol = cfg.sinkhorn_epsilon, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol
-    cross = _entropic_ot_value(_pairwise_sq_dists(y, y_hat), eps, iters, tol)
-    self_y = _entropic_ot_value(_pairwise_sq_dists(y, y), eps, iters, tol)
-    self_h = _entropic_ot_value(_pairwise_sq_dists(y_hat, y_hat), eps, iters, tol)
+    cross = _entropic_ot_value(cdist(y, y_hat, "sqeuclidean"), eps, iters, tol)
+    self_y = _entropic_ot_value(cdist(y, y, "sqeuclidean"), eps, iters, tol)
+    self_h = _entropic_ot_value(cdist(y_hat, y_hat, "sqeuclidean"), eps, iters, tol)
     return math.sqrt(max(cross - 0.5 * self_y - 0.5 * self_h, 0.0))
 
 
@@ -195,9 +191,9 @@ def mmd_rbf(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = MetricConfig()
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
-    d_yy = _pairwise_sq_dists(y, y)
-    d_hh = _pairwise_sq_dists(y_hat, y_hat)
-    d_yh = _pairwise_sq_dists(y, y_hat)
+    d_yy = cdist(y, y, "sqeuclidean")
+    d_hh = cdist(y_hat, y_hat, "sqeuclidean")
+    d_yh = cdist(y, y_hat, "sqeuclidean")
     total = 0.0
     for gamma in cfg.mmd_gammas:
         mmd2 = (
@@ -236,7 +232,7 @@ def transposed_rank_contributions(
     p = pred.shape[0]
     if p < 2:
         raise InvalidArgumentError("transposed rank needs at least two conditions")
-    dists = np.sqrt(_pairwise_sq_dists(pred, obs))
+    dists = np.sqrt(cdist(pred, obs, "sqeuclidean"))
     matched = np.diag(dists)
     closer = dists <= matched[:, None]
     np.fill_diagonal(closer, False)

@@ -4,19 +4,24 @@ Cells are tokens.  Stream 0 carries the noised query cells plus learnable
 register tokens, stream 1 the observational and context interventional
 cells, stream 2 the treatment codes.  Streams have separate projections and
 feed-forwards and exchange information through joint attention; there is no
-positional encoding, only role embeddings: a slot embedding shared between
-a context experiment's cells and its treatment token, observational /
-interventional flags, and a query flag.  Scalar integration time modulates
-every block through zero-initialized FiLM projections.  Dropping the
-condition replaces streams 1 and 2 by a single learnable null token.
+positional encoding, only role embeddings, rows of one table ``emb.roles``:
+a slot row per context slot (shared between a context experiment's cells and
+its treatment token), observational / interventional / query flags, and a
+null token.  Each context stream is one input projection of its stacked
+rows plus a constant 0/1 matrix times the role table.  Scalar integration
+time modulates every block through zero-initialized FiLM projections.
+Dropping the condition replaces streams 1 and 2 by the null token.
 
-The output is the velocity read from the non-register tokens of stream 0.
+The output is the velocity read from the non-register tokens of stream 0,
+so the last block updates stream 0 only: there streams 1 and 2 give keys
+and values and have no query, output or feed-forward parameters (as the
+context stream of SD3's last MM-DiT block, Esser et al. 2024).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +31,8 @@ from .errors import InvalidArgumentError
 from .layers import AttentionParams, film_modulate, gelu, joint_attention, layer_norm, linear, silu
 
 _STREAMS = ("noise", "cells", "treat")
+# Rows of ``emb.roles`` after its max_context slot rows, as negative indices.
+_OBS, _INT, _QUERY, _NULL = range(-4, 0)
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,9 @@ class ModelConfig:
         return 2 * self.embed_dim
 
     def validate(self) -> None:
+        low = [f.name for f in fields(self) if getattr(self, f.name) < (0 if f.name == "register_tokens" else 1)]
+        if low:
+            raise InvalidArgumentError(f"model sizes {low} must be at least 1 (register_tokens at least 0)")
         if self.heads * self.head_dim != self.embed_dim:
             raise InvalidArgumentError("heads * head_dim must equal embed_dim")
 
@@ -113,21 +123,22 @@ def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float
     zeros("time.l2.b", (et,))
 
     norm("emb.registers", (cfg.register_tokens, e))
-    norm("emb.slot", (cfg.max_context, e))
-    norm("emb.flag_obs", (e,))
-    norm("emb.flag_int", (e,))
-    norm("emb.flag_query", (e,))
-    norm("emb.null", (e,))
+    norm("emb.roles", (cfg.max_context + 4, e))  # slots, then _OBS, _INT, _QUERY, _NULL
 
     for layer in range(cfg.layers):
         for s in _STREAMS:
             base = f"blocks.{layer}.{s}"
-            for proj in ("wq", "wk", "wv", "wo"):
-                norm(f"{base}.attn.{proj}", (e, e))
-            for proj in ("bq", "bk", "bv", "bo"):
-                zeros(f"{base}.attn.{proj}", (e,))
+            # Only stream 0 is updated by the last block; the others give keys and values.
+            updated = layer < cfg.layers - 1 or s == "noise"
+            projs = "qkvo" if updated else "kv"
+            for p in projs:
+                norm(f"{base}.attn.w{p}", (e, e))
+            for p in projs:
+                zeros(f"{base}.attn.b{p}", (e,))
             zeros(f"{base}.film_attn.w", (et, 2 * e))
             zeros(f"{base}.film_attn.b", (2 * e,))
+            if not updated:
+                continue
             zeros(f"{base}.film_mlp.w", (et, 2 * e))
             zeros(f"{base}.film_mlp.b", (2 * e,))
             norm(f"{base}.ff.w1", (e, f))
@@ -161,17 +172,9 @@ def _time_embedding(params: ParameterSet, tau: float) -> Tensor:
 
 
 def _attention_params(params: ParameterSet, layer: int, stream: str) -> AttentionParams:
-    base = f"blocks.{layer}.{stream}.attn"
-    return AttentionParams(
-        wq=params[f"{base}.wq"],
-        wk=params[f"{base}.wk"],
-        wv=params[f"{base}.wv"],
-        wo=params[f"{base}.wo"],
-        bq=params[f"{base}.bq"],
-        bk=params[f"{base}.bk"],
-        bv=params[f"{base}.bv"],
-        bo=params[f"{base}.bo"],
-    )
+    """The stream's projections in one block; None where the layout has none."""
+    names = {f.name: f"blocks.{layer}.{stream}.attn.{f.name}" for f in fields(AttentionParams)}
+    return AttentionParams(**{f: params[n] if n in params else None for f, n in names.items()})
 
 
 def forward(
@@ -189,46 +192,36 @@ def forward(
         raise InvalidArgumentError(f"query shape {y_tau.shape} does not match gene count {d}")
     if bundle.k > cfg.max_context:
         raise InvalidArgumentError(f"context size {bundle.k} exceeds max_context {cfg.max_context}")
-    if bundle.y_obs.shape[1] != d or bundle.query_code.shape[0] != d:
-        raise InvalidArgumentError("bundle width does not match the configured gene count")
+    batches = [bundle.y_obs] + [batch for _, batch in bundle.context]
+    codes = [code for code, _ in bundle.context] + [bundle.query_code]
+    if any(b.ndim != 2 or b.shape[1] != d for b in batches) or any(c.shape != (d,) for c in codes):
+        raise InvalidArgumentError("bundle shapes do not match the configured gene count")
+    slots = np.asarray(bundle.slots(), dtype=np.intp)
+    if slots.shape != (bundle.k,) or np.any((slots < 0) | (slots >= cfg.max_context)):
+        raise InvalidArgumentError(
+            f"context slots {bundle.slots()} do not place {bundle.k} experiments in 0..{cfg.max_context - 1}"
+        )
     m = y_tau.shape[0]
 
     temb = _time_embedding(params, noised.tau)
-
-    noise_tokens = ad.concat(
-        [linear(y_tau, params["in.noise.w"], params["in.noise.b"]), params["emb.registers"]],
-        axis=0,
-    )
-
+    roles = params["emb.roles"]
+    streams = [
+        ad.concat([linear(y_tau, params["in.noise.w"], params["in.noise.b"]), params["emb.registers"]], axis=0)
+    ]
     if drop_condition:
-        null = params["emb.null"].reshape((1, cfg.embed_dim))
-        streams = [noise_tokens, null]
-        stream_names = ["noise", "cells"]
+        streams.append(roles[_NULL:])
     else:
-        cell_parts = [linear(bundle.y_obs, params["in.cells.w"], params["in.cells.b"]) + params["emb.flag_obs"]]
-        slots = bundle.slots()
-        for (code, batch), slot in zip(bundle.context, slots):
-            if not 0 <= slot < cfg.max_context:
-                raise InvalidArgumentError(f"slot {slot} out of range for max_context {cfg.max_context}")
-            if batch.shape[1] != d or code.shape[0] != d:
-                raise InvalidArgumentError("context widths do not match the configured gene count")
-            tokens = linear(batch, params["in.cells.w"], params["in.cells.b"])
-            cell_parts.append(tokens + params["emb.flag_int"] + params["emb.slot"][slot])
-        cells = ad.concat(cell_parts, axis=0) if len(cell_parts) > 1 else cell_parts[0]
-
-        codes = np.stack([c for c, _ in bundle.context] + [bundle.query_code])
-        treat_tokens = linear(codes, params["in.treat.w"], params["in.treat.b"])
-        parts = [
-            treat_tokens[i : i + 1] + params["emb.slot"][slot] for i, slot in enumerate(slots)
-        ]
-        parts.append(treat_tokens[bundle.k :] + params["emb.flag_query"])
-        treats = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
-
-        streams = [noise_tokens, cells, treats]
-        stream_names = ["noise", "cells", "treat"]
+        # Each token's role embedding is a 0/1 row of ``one_hot`` times the role table.
+        one_hot = np.eye(cfg.max_context + 4)
+        sizes = [len(batch) for batch in batches]
+        cell_roles = one_hot[np.repeat(np.append(_OBS, slots), sizes)]
+        cell_roles[sizes[0] :, _INT] = 1.0
+        cells = linear(np.concatenate(batches), params["in.cells.w"], params["in.cells.b"])
+        treats = linear(np.stack(codes), params["in.treat.w"], params["in.treat.b"])
+        streams += [cells + linear(cell_roles, roles), treats + linear(one_hot[np.append(slots, _QUERY)], roles)]
 
     for layer in range(cfg.layers):
-        attn_params = [_attention_params(params, layer, s) for s in stream_names]
+        stream_names = _STREAMS[: len(streams)]
         normed = [
             film_modulate(
                 layer_norm(x),
@@ -238,7 +231,9 @@ def forward(
             )
             for x, s in zip(streams, stream_names)
         ]
+        attn_params = [_attention_params(params, layer, s) for s in stream_names]
         attended = joint_attention(normed, attn_params, cfg.heads, cfg.head_dim)
+        # Only streams with queries get an output: in the last block, stream 0 alone.
         streams = [x + a for x, a in zip(streams, attended)]
         updated = []
         for x, s in zip(streams, stream_names):

@@ -117,9 +117,8 @@ def cfm_loss(
 class AdamW:
     """Decoupled weight decay Adam over a ParameterSet."""
 
-    def __init__(self, params: ParameterSet, cfg: TrainConfig):
+    def __init__(self, params: ParameterSet):
         self.params = params
-        self.cfg = cfg
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -161,7 +160,7 @@ def train(
     """
     params = build_model(model_cfg, train_cfg.seed)
     rng = np.random.default_rng(train_cfg.seed)
-    optimizer = AdamW(params, train_cfg)
+    optimizer = AdamW(params)
     ema = {name: p.data.copy() for name, p in params.items()}
     trace: list[tuple[int, float, float]] = []
 

@@ -105,6 +105,25 @@ def test_checkpoint_header_with_a_non_integer_config_value_is_rejected(tmp_path)
         dataio.load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        dict(embed_dim=0, heads=0, head_dim=0, ff_dim=0),
+        dict(layers=0),
+        dict(max_genes=0),
+        dict(max_context=0),
+        dict(register_tokens=-1),
+    ],
+    ids=lambda sizes: ",".join(sizes),
+)
+def test_checkpoint_header_with_a_size_below_one_is_rejected(tmp_path, sizes):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    _replace_header(path, _edit_model_config(lambda h: h["model_config"].update(sizes)))
+    with pytest.raises(InvalidArgumentError, match="at least"):
+        dataio.load_checkpoint(path)
+
+
 def test_checkpoint_header_without_model_config_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,23 @@ def test_joint_attention_supports_empty_stream():
     # With no second stream at all the result matches the empty-stream run.
     solo = layers.joint_attention([a], ps[:1], heads, hd)
     assert np.allclose(out[0].data, solo[0].data, atol=1e-12)
+
+
+def test_joint_attention_key_value_only_stream():
+    # A stream without query and output projections gets no output, but its
+    # keys and values still reach the querying stream.
+    width, heads, hd = 8, 2, 4
+    rng = np.random.default_rng(17)
+    ps = [_attn_params(width, rng) for _ in range(2)]
+    kv_only = dataclasses.replace(ps[1], wq=None, bq=None, wo=None, bo=None)
+    a = Tensor(RNG.standard_normal((5, width)))
+    b = Tensor(RNG.standard_normal((3, width)))
+    out = layers.joint_attention([a, b], [ps[0], kv_only], heads, hd)
+    assert len(out) == 1
+    full = layers.joint_attention([a, b], ps, heads, hd)
+    assert np.allclose(out[0].data, full[0].data, atol=1e-12)
+    alone = layers.joint_attention([a], ps[:1], heads, hd)
+    assert not np.allclose(out[0].data, alone[0].data, atol=1e-3)
 
 
 def test_joint_attention_width_mismatch_rejected():

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from pertmap import metrics
 from pertmap.metrics import MetricConfig
@@ -41,7 +42,7 @@ def test_sinkhorn_is_nonnegative_and_symmetric(pair):
     ab = metrics.sinkhorn_divergence(y, y_hat, CFG)
     ba = metrics.sinkhorn_divergence(y_hat, y, CFG)
     assert ab >= 0.0 and ba >= 0.0
-    cost_range = float(metrics._pairwise_sq_dists(y, y_hat).max())
+    cost_range = float(cdist(y, y_hat, "sqeuclidean").max())
     assert abs(ab**2 - ba**2) <= CFG.sinkhorn_tol * (cost_range + CFG.sinkhorn_epsilon)
 
 

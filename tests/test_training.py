@@ -190,11 +190,10 @@ def test_cfm_loss_backward_returns_gradients_only_for_parents_on_the_tape():
 
 
 def test_adamw_matches_reference_update():
-    cfg = tr.TrainConfig(total_steps=10)
     params = mdl.build_model(MICRO_CFG, seed=0)
     name = "out.b"
     params[name].data = np.full(4, 2.0, dtype=np.float32)
-    opt = tr.AdamW(params, cfg)
+    opt = tr.AdamW(params)
     g = np.full(4, 0.5, dtype=np.float32)
     grads = {n: np.zeros_like(p.data) for n, p in params.items()}
     grads[name] = g
