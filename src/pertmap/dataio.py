@@ -1,26 +1,30 @@
-"""Binary file formats: dataset batches and model checkpoints.
+"""Archive files: datasets and model checkpoints.
 
-Batch files are little-endian: an 8-byte magic, u32 gene count d, u32 row
-count n, u32 kind (0 observational, 1 interventional), the d-float32
-treatment code, then n*d float32 values in row-major order.  A dataset
-directory holds one file per condition plus ``manifest.json``.
+Both are uncompressed NumPy ``.npz`` archives, zip files of ``.npy``
+members.  Every archive has a ``header`` member, a 0-d unicode array
+holding a JSON object with ``"format": 2``; every other member is a
+little-endian float32 array.
 
-Checkpoints are a single file: magic, u32 header length, a JSON header
-(format version plus the model configuration), then name-length-prefixed
-entries of shape-prefixed float32 tensors in parameter order.
+- A dataset is ``<dir>/dataset.npz``.  Its header is ``{format, kind, d, n,
+  paired, base_seed, contexts, conditions}``: ``contexts`` lists the C
+  context ids and ``conditions`` the K ``[context, treatment]`` pairs, in
+  the order of the members ``obs`` (C, n, d), the observational batch of
+  each context, ``int`` (K, n, d), the interventional batch of each
+  condition, and ``codes`` (K, d), its treatment code.
+- A checkpoint is one archive at any path.  Its header is ``{format,
+  model_config, extra}``, ``model_config`` the fields of a ModelConfig and
+  ``extra`` a JSON object; it has one member per parameter tensor, named
+  and shaped as in ``parameter_layout``.
 
-Readers and writers raise InvalidArgumentError on a batch kind other than 0
-or 1, and readers on a file that is shorter or longer than its header
-implies, whose checkpoint header is not a valid configuration, or, for the
-manifest, that is not a UTF-8 JSON object.
+zip stores a CRC-32 of every member, checked when the member is read, so a
+corrupted payload is rejected rather than loaded.  Readers raise
+InvalidArgumentError on any file that is not such an archive.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
-import struct
+import zipfile
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any
@@ -31,133 +35,90 @@ from .autodiff import ParameterSet
 from .errors import InvalidArgumentError
 from .model import ModelConfig, parameter_layout
 
-DATASET_MAGIC = b"PMAPDS1\x00"
-CHECKPOINT_MAGIC = b"PMAPCK1\x00"
-KIND_OBSERVATIONAL = 0
-KIND_INTERVENTIONAL = 1
-_KINDS = (KIND_OBSERVATIONAL, KIND_INTERVENTIONAL)
-_BATCH_HEADER = 20  # magic, then u32 d, n, kind
+_FORMAT = 2
+_FLOAT32 = np.dtype("<f4")
+# What np.load and zipfile raise on a malformed archive: numpy's format
+# errors are ValueError, a cut file ends in EOFError or BadZipFile, and a
+# bad member CRC or local header is BadZipFile.  A corrupted compression
+# method or flag word selects a bzip2 decoder that fails with OSError, or
+# a method or encryption that zipfile does not implement (RuntimeError,
+# NotImplementedError among them).
+_MALFORMED = (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile)
 
 
-def write_batch_file(path: Path, values: np.ndarray, kind: int, treatment_code: np.ndarray) -> None:
-    values = np.ascontiguousarray(values, dtype="<f4")
-    code = np.ascontiguousarray(treatment_code, dtype="<f4")
-    n, d = values.shape
-    if kind not in _KINDS:
-        raise InvalidArgumentError(f"batch kind must be one of {_KINDS}, got {kind}")
-    if code.shape != (d,):
-        raise InvalidArgumentError("treatment code length must equal the gene count")
+def write_archive(path: Path, header: dict[str, Any], arrays: dict[str, np.ndarray]) -> None:
+    """Write ``header`` (plus the format number) and float32 copies of ``arrays``."""
+    members = {name: np.asarray(a, dtype=_FLOAT32) for name, a in arrays.items()}
+    # np.savez appends ".npz" to a path without that suffix, but not to a file.
     with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<III", d, n, kind))
-        fh.write(code.tobytes())
-        fh.write(values.tobytes())
+        np.savez(fh, header=np.array(json.dumps({**header, "format": _FORMAT}, sort_keys=True)), **members)
 
 
-def read_batch_file(path: Path) -> tuple[np.ndarray, int, np.ndarray]:
-    buf = Path(path).read_bytes()
-    if buf[:8] != DATASET_MAGIC:
-        raise InvalidArgumentError(f"{path}: not a dataset batch file")
-    if len(buf) < _BATCH_HEADER:
-        raise InvalidArgumentError(f"{path}: truncated batch header")
-    d, n, kind = struct.unpack_from("<III", buf, 8)
-    if kind not in _KINDS:
-        raise InvalidArgumentError(f"{path}: batch kind {kind} is not one of {_KINDS}")
-    expected = _BATCH_HEADER + 4 * d * (1 + n)
-    if len(buf) != expected:
-        raise InvalidArgumentError(f"{path}: {len(buf)} bytes, but its header implies {expected}")
-    code = np.frombuffer(buf, dtype="<f4", count=d, offset=_BATCH_HEADER).astype(np.float64)
-    values = np.frombuffer(buf, dtype="<f4", offset=_BATCH_HEADER + 4 * d).reshape(n, d).astype(np.float64)
-    return values, kind, code
+def read_archive(path: Path, header_types: dict[str, type]) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """The header and the float32 members of an archive whose header has
+    a value of exactly the given type at each key of ``header_types``.
 
-
-def write_manifest(path: Path, manifest: dict[str, Any]) -> None:
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def read_manifest(path: Path) -> dict[str, Any]:
+    Raises InvalidArgumentError when the file is not an ``.npz`` archive,
+    fails its zip checks (a member CRC among them), has no ``header``
+    member, a 0-d unicode array, holding a JSON object of this format with
+    those typed keys, or has a member that is not a little-endian float32
+    array.
+    """
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if isinstance(archive, np.lib.npyio.NpzFile):
+                with archive:
+                    members = {name: archive[name] for name in archive.files}
+        except _MALFORMED as exc:
+            raise InvalidArgumentError(f"{path}: not a readable archive: {exc!r}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise InvalidArgumentError(f"{path}: holds one array, not an archive")
     try:
-        manifest = json.loads(path.read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidArgumentError(f"{path}: manifest is not UTF-8 JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise InvalidArgumentError(f"{path}: manifest is not a JSON object")
-    return manifest
+        # Of all members, only a 0-d unicode array prints as the text it holds.
+        header = json.loads(str(members.pop("header", None)))
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: header member is not JSON text: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != _FORMAT:
+        raise InvalidArgumentError(f"{path}: header is not a format {_FORMAT} JSON object")
+    # bool is a subclass of int, so compare the types exactly.
+    wrong = sorted(key for key, kind in header_types.items() if type(header.get(key)) is not kind)
+    if wrong:
+        raise InvalidArgumentError(f"{path}: header keys {wrong} are missing or of the wrong type")
+    wrong = sorted(name for name, a in members.items() if not isinstance(a, np.ndarray) or a.dtype != _FLOAT32)
+    if wrong:
+        raise InvalidArgumentError(f"{path}: members {wrong} are not float32 arrays")
+    return header, members
 
 
 def save_checkpoint(path: Path, params: ParameterSet, model_cfg: ModelConfig, extra: dict | None = None) -> None:
-    header = {"format": 1, "model_config": asdict(model_cfg)}
-    if extra:
-        header["extra"] = extra
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for name, tensor in params.items():
-            encoded = name.encode("utf-8")
-            data = np.ascontiguousarray(tensor.data, dtype="<f4")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(data.tobytes())
+    header = {"model_config": asdict(model_cfg), "extra": extra or {}}
+    write_archive(path, header, {name: tensor.data for name, tensor in params.items()})
 
 
 def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
-    """Read a checkpoint; its tensors must be exactly those of the model
-    configuration in its header, with nothing missing, cut or trailing."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+    """Read a checkpoint: its float32 tensors, model configuration and extra.
 
-        def take(count: int) -> bytes:
-            if count > size - fh.tell():
-                raise InvalidArgumentError(f"{path}: truncated checkpoint")
-            return fh.read(count)
-
-        if fh.read(8) != CHECKPOINT_MAGIC:
-            raise InvalidArgumentError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<I", take(4))
-        try:
-            header = json.loads(take(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InvalidArgumentError(f"{path}: checkpoint header is not UTF-8 JSON: {exc}") from exc
-        if not isinstance(header, dict):
-            raise InvalidArgumentError(f"{path}: checkpoint header is not a JSON object")
-        if header.get("format") != 1:
-            raise InvalidArgumentError(f"unsupported checkpoint format {header.get('format')}")
-        cfg = _model_config(path, header.get("model_config"))
-        values: dict[str, np.ndarray] = {}
-        while fh.tell() < size:
-            (name_len,) = struct.unpack("<I", take(4))
-            try:
-                name = take(name_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InvalidArgumentError(f"{path}: tensor name is not UTF-8") from exc
-            (ndim,) = struct.unpack("<I", take(4))
-            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            values[name] = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).astype(np.float32)
-    if not _matches_layout(values, cfg):
-        raise InvalidArgumentError(f"{path}: tensors do not match the model configuration in its header")
-    return values, cfg, header.get("extra", {})
-
-
-def _model_config(path: Path, config: Any) -> ModelConfig:
-    if not isinstance(config, dict):
-        raise InvalidArgumentError(f"{path}: checkpoint header has no model_config object")
-    config = dict(config)
-    # Written by versions whose ModelConfig still carried this unread
-    # field; the training module owns the value.
-    config.pop("condition_drop_prob", None)
-    unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
-    if unknown:
-        raise InvalidArgumentError(f"{path}: unknown model_config keys {unknown}")
-    not_int = sorted(key for key, value in config.items() if type(value) is not int)
-    if not_int:
-        raise InvalidArgumentError(f"{path}: model_config values {not_int} are not integers")
+    Raises InvalidArgumentError when the file is not an archive as
+    ``read_archive`` requires (an ``.npz`` file that passes the zip checks,
+    member CRCs included, with a 0-d unicode JSON header of format 2 and
+    only float32 members), when the header's ``model_config`` or ``extra``
+    is missing or not an object, when ``model_config`` has a key that is
+    not a ModelConfig field or a value that is not an integer, or fails
+    ``ModelConfig.validate`` (a size below one, heads * head_dim not
+    embed_dim), or when the tensors' names and shapes are not exactly those
+    of ``parameter_layout``.  A missing file raises FileNotFoundError.
+    """
+    header, values = read_archive(path, {"model_config": dict, "extra": dict})
+    config, names = header["model_config"], {f.name for f in fields(ModelConfig)}
+    bad = sorted(key for key, value in config.items() if key not in names or type(value) is not int)
+    if bad:
+        raise InvalidArgumentError(f"{path}: model_config entries {bad} are not integer ModelConfig fields")
     cfg = ModelConfig(**config)
     cfg.validate()
-    return cfg
+    if not _matches_layout(values, cfg):
+        raise InvalidArgumentError(f"{path}: tensors do not match the model configuration in its header")
+    return values, cfg, header["extra"]
 
 
 def _matches_layout(values: dict[str, np.ndarray], cfg: ModelConfig) -> bool:

@@ -33,9 +33,8 @@ from .seeding import (
 
 SCM_KIND = "scm"
 GRN_KIND = "grn"
-_MANIFEST_KEYS = ("format", "kind", "d", "n", "paired", "base_seed", "conditions")
-_ENTRY_KEYS = ("context", "treatment", "kind", "file")
-_ENTRY_KINDS = {"obs": dataio.KIND_OBSERVATIONAL, "int": dataio.KIND_INTERVENTIONAL}
+DATASET_FILE = "dataset.npz"
+_HEADER_TYPES = dict(kind=str, d=int, n=int, paired=bool, base_seed=int, contexts=list, conditions=list)
 
 
 @dataclass(frozen=True)
@@ -189,101 +188,61 @@ def median_count_log_normalize(counts: np.ndarray) -> np.ndarray:
 
 
 def save_dataset(ds: PerturbationDataset, outdir: Path) -> None:
+    """Write ``ds`` as ``<outdir>/dataset.npz``, laid out as :mod:`pertmap.dataio` says;
+    raises InvalidArgumentError on a batch that is not (n, d) or a code that is not (d,)."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for context_id in ds.contexts():
-        fname = f"ctx{context_id:05d}_obs.bin"
-        dataio.write_batch_file(
-            outdir / fname, ds.observational[context_id], dataio.KIND_OBSERVATIONAL, np.zeros(ds.d)
-        )
-        entries.append({"context": context_id, "treatment": None, "kind": "obs", "file": fname})
-    for key in sorted(ds.interventional):
-        context_id, treatment = key
-        fname = f"ctx{context_id:05d}_t{treatment:05d}.bin"
-        dataio.write_batch_file(
-            outdir / fname, ds.interventional[key], dataio.KIND_INTERVENTIONAL, ds.treatment_codes[key]
-        )
-        entries.append({"context": context_id, "treatment": treatment, "kind": "int", "file": fname})
-    dataio.write_manifest(
-        outdir / "manifest.json",
-        {
-            "format": 1,
-            "kind": ds.kind,
-            "d": ds.d,
-            "n": ds.n,
-            "paired": ds.paired,
-            "base_seed": ds.base_seed,
-            "conditions": entries,
-        },
-    )
+    contexts, keys = ds.contexts(), sorted(ds.interventional)
+    header = dict(kind=ds.kind, d=ds.d, n=ds.n, paired=ds.paired, base_seed=ds.base_seed, contexts=contexts)
+    arrays = {
+        "obs": _stacked([ds.observational[c] for c in contexts], (ds.n, ds.d)),
+        "int": _stacked([ds.interventional[key] for key in keys], (ds.n, ds.d)),
+        "codes": _stacked([ds.treatment_codes[key] for key in keys], (ds.d,)),
+    }
+    dataio.write_archive(outdir / DATASET_FILE, {**header, "conditions": [list(key) for key in keys]}, arrays)
+
+
+def _stacked(arrays: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    if any(np.shape(a) != shape for a in arrays):
+        raise InvalidArgumentError(f"a batch or treatment code of the dataset is not of shape {shape}")
+    return np.reshape(arrays, (len(arrays), *shape))
 
 
 def load_dataset(path: Path) -> PerturbationDataset:
-    """Read a directory written by :func:`save_dataset`.
+    """Read a directory written by :func:`save_dataset`; batches and codes
+    come back as float64.
 
-    Raises :class:`InvalidArgumentError` when the manifest is not format 1,
-    lacks a key, has a non-integer d, n, base_seed, context or
-    interventional treatment or a non-boolean paired, lists an entry kind
-    other than obs/int, a condition twice, a context without an
-    observational batch or a file that is not a plain name in the
-    directory, or disagrees with a batch file's kind word or (n, d) shape.
+    Raises :class:`InvalidArgumentError` when ``dataset.npz`` is not an
+    archive as ``dataio.read_archive`` requires (an ``.npz`` file that
+    passes the zip checks, member CRCs included, with a 0-d unicode JSON
+    header of format 2 and only float32 members); when the header lacks a
+    key, or its kind is not a string, d, n or base_seed not an integer,
+    paired not a boolean, contexts not a list of distinct integers, or
+    conditions not a list of distinct [context, treatment] integer pairs of
+    listed contexts; or when the members are not exactly obs, int and codes
+    with the shapes (C, n, d), (K, n, d) and (K, d) that the header implies.
+    A missing file raises FileNotFoundError.
     """
-    path = Path(path)
-    manifest = dataio.read_manifest(path / "manifest.json")
-    _require_keys(manifest, _MANIFEST_KEYS, "manifest")
-    if manifest["format"] != 1:
-        raise InvalidArgumentError(f"{path}: manifest format {manifest['format']!r} is not 1")
-    if not isinstance(manifest["conditions"], list):
-        raise InvalidArgumentError(f"{path}: manifest conditions must be a list")
-    if type(manifest["paired"]) is not bool:
-        raise InvalidArgumentError(f"{path}: manifest paired {manifest['paired']!r} is not a boolean")
-    ds = PerturbationDataset(
-        kind=manifest["kind"],
-        d=_require_int(path, manifest, "d"),
-        n=_require_int(path, manifest, "n"),
-        paired=manifest["paired"],
-        base_seed=_require_int(path, manifest, "base_seed"),
-    )
-    for entry in manifest["conditions"]:
-        _require_keys(entry, _ENTRY_KEYS, "manifest entry")
-        if entry["kind"] not in ("obs", "int"):
-            raise InvalidArgumentError(f"{path}: entry kind {entry['kind']!r} is not obs or int")
-        context = _require_int(path, entry, "context")
-        if entry["kind"] == "obs":
-            key, batches = context, ds.observational
-        else:
-            key, batches = (context, _require_int(path, entry, "treatment")), ds.interventional
-        if key in batches:
-            raise InvalidArgumentError(f"{path}: {entry['kind']} condition {key} is listed twice")
-        name = entry["file"]
-        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
-            raise InvalidArgumentError(f"{path}: entry file {name!r} is not a plain file name")
-        values, kind, code = dataio.read_batch_file(path / name)
-        if kind != _ENTRY_KINDS[entry["kind"]]:
-            raise InvalidArgumentError(f"{path / name}: batch kind {kind} but listed as {entry['kind']!r}")
-        if values.shape != (ds.n, ds.d):
-            raise InvalidArgumentError(f"{path / name}: shape {values.shape}, manifest says {(ds.n, ds.d)}")
-        batches[key] = values
-        if entry["kind"] == "int":
-            ds.treatment_codes[key] = code
-    orphans = sorted({c for c, _ in ds.interventional} - set(ds.observational))
-    if orphans:
-        raise InvalidArgumentError(f"{path}: contexts {orphans} have no observational batch")
+    path = Path(path) / DATASET_FILE
+    header, arrays = dataio.read_archive(path, _HEADER_TYPES)
+    contexts, pairs = header["contexts"], header["conditions"]
+    if not all(type(c) is int for c in contexts):
+        raise InvalidArgumentError(f"{path}: contexts {contexts!r} are not integers")
+    keys = [tuple(p) for p in pairs if type(p) is list and len(p) == 2 and all(type(i) is int for i in p)]
+    if len(keys) != len(pairs) or not {c for c, _ in keys} <= set(contexts):
+        raise InvalidArgumentError(f"{path}: conditions are not [context, treatment] int pairs of its contexts")
+    n, d = header["n"], header["d"]
+    shapes = {"obs": (len(contexts), n, d), "int": (len(keys), n, d), "codes": (len(keys), d)}
+    found = {name: a.shape for name, a in arrays.items()}
+    if found != shapes:
+        raise InvalidArgumentError(f"{path}: members {found}, but its header implies {shapes}")
+    ds = PerturbationDataset(kind=header["kind"], d=d, n=n, paired=header["paired"], base_seed=header["base_seed"])
+    ds.observational = dict(zip(contexts, arrays["obs"].astype(np.float64)))
+    ds.interventional = dict(zip(keys, arrays["int"].astype(np.float64)))
+    ds.treatment_codes = dict(zip(keys, arrays["codes"].astype(np.float64)))
+    if len(ds.observational) != len(contexts) or len(ds.interventional) != len(keys):
+        raise InvalidArgumentError(f"{path}: a context or condition is listed twice")
     return ds
-
-
-def _require_keys(obj, keys: Sequence[str], what: str) -> None:
-    missing = [k for k in keys if k not in obj] if isinstance(obj, dict) else list(keys)
-    if missing:
-        raise InvalidArgumentError(f"{what} lacks {missing}")
-
-
-def _require_int(path: Path, obj: dict, key: str) -> int:
-    # bool is a subclass of int, so compare the type exactly.
-    if type(obj[key]) is not int:
-        raise InvalidArgumentError(f"{path}: manifest {key} {obj[key]!r} is not an integer")
-    return obj[key]
 
 
 # -- training bundles -----------------------------------------------------------
@@ -310,6 +269,8 @@ class BundleSampler:
     ):
         if not train_conditions:
             raise InvalidArgumentError("no train conditions to sample from")
+        if k_context < 0 or n_obs_tokens < 1 or m_tokens < 1:
+            raise InvalidArgumentError(f"k_context {k_context} < 0 or token count {n_obs_tokens, m_tokens} < 1")
         self.dataset = dataset
         self.rng = np.random.default_rng(seed)
         self.k_context = k_context

@@ -171,8 +171,8 @@ def sinkhorn_divergence(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = Me
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
-    if y.shape[0] < 1 or y_hat.shape[0] < 1:
-        raise InvalidArgumentError("both samples must be non-empty")
+    if y.shape[0] < 1 or y_hat.shape[0] < 1 or y.shape[1:] != y_hat.shape[1:]:
+        raise InvalidArgumentError(f"samples must be non-empty over the same genes: {y.shape}, {y_hat.shape}")
     eps, iters, tol = cfg.sinkhorn_epsilon, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol
     cross = _entropic_ot_value(cdist(y, y_hat, "sqeuclidean"), eps, iters, tol)
     self_y = _entropic_ot_value(cdist(y, y, "sqeuclidean"), eps, iters, tol)
@@ -191,6 +191,8 @@ def mmd_rbf(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = MetricConfig()
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
+    if y.shape[1:] != y_hat.shape[1:]:
+        raise InvalidArgumentError(f"samples must be over the same genes: {y.shape}, {y_hat.shape}")
     d_yy = cdist(y, y, "sqeuclidean")
     d_hh = cdist(y_hat, y_hat, "sqeuclidean")
     d_yh = cdist(y, y_hat, "sqeuclidean")

@@ -95,12 +95,6 @@ class ExperimentBundle:
         return self.context_slots if self.context_slots is not None else tuple(range(self.k))
 
 
-@dataclass(frozen=True)
-class NoisedQuery:
-    y_tau: np.ndarray  # (M, d)
-    tau: float
-
-
 def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
     """(name, shape, init scale) of every learnable tensor, in parameter
     order.  Scale 0 marks a zero-initialized tensor; the others are normal."""
@@ -180,14 +174,15 @@ def _attention_params(params: ParameterSet, layer: int, stream: str) -> Attentio
 def forward(
     params: ParameterSet,
     cfg: ModelConfig,
-    noised: NoisedQuery,
+    y_tau: np.ndarray,
+    tau: float,
     bundle: ExperimentBundle,
     drop_condition: bool = False,
 ) -> Tensor:
-    """Velocity prediction for the M noised query cells, shape (M, d)."""
+    """Velocity prediction for the M query cells ``y_tau`` (M, d) noised to
+    time ``tau``, shape (M, d)."""
     cfg.validate()
     d = cfg.max_genes
-    y_tau = noised.y_tau
     if y_tau.ndim != 2 or y_tau.shape[1] != d:
         raise InvalidArgumentError(f"query shape {y_tau.shape} does not match gene count {d}")
     if bundle.k > cfg.max_context:
@@ -203,7 +198,7 @@ def forward(
         )
     m = y_tau.shape[0]
 
-    temb = _time_embedding(params, noised.tau)
+    temb = _time_embedding(params, tau)
     roles = params["emb.roles"]
     streams = [
         ad.concat([linear(y_tau, params["in.noise.w"], params["in.noise.b"]), params["emb.registers"]], axis=0)

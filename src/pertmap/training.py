@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 from .errors import InvalidArgumentError, NumericalFailureError
-from .model import ExperimentBundle, ModelConfig, NoisedQuery, build_model, forward
+from .model import ExperimentBundle, ModelConfig, build_model, forward
 from .ode import integrate_dopri5
 
 
@@ -48,6 +48,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.total_steps < 1:
             raise InvalidArgumentError("total_steps must be >= 1")
+        if self.batch_size < 1:
+            raise InvalidArgumentError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def cfm_loss(
     if y0.shape != target.shape:
         raise InvalidArgumentError(f"noise shape {y0.shape} != target shape {target.shape}")
     y_tau = (1.0 - tau) * y0 + tau * target
-    v = forward(params, model_cfg, NoisedQuery(y_tau, tau), bundle, drop_condition)
+    v = forward(params, model_cfg, y_tau, tau, bundle, drop_condition)
     diff = v - (target - y0)
     return (diff * diff).mean()
 
@@ -198,11 +200,10 @@ def guided_field(
 
     def field(tau: float, y: np.ndarray) -> np.ndarray:
         with ad.no_grad():
-            noised = NoisedQuery(y_tau=y, tau=float(tau))
-            v_cond = forward(params, model_cfg, noised, bundle).data
+            v_cond = forward(params, model_cfg, y, float(tau), bundle).data
             if omega == 1.0:
                 return v_cond
-            v_uncond = forward(params, model_cfg, noised, bundle, drop_condition=True).data
+            v_uncond = forward(params, model_cfg, y, float(tau), bundle, drop_condition=True).data
             return v_uncond + omega * (v_cond - v_uncond)
 
     return field

@@ -1,8 +1,10 @@
-"""Shared test utilities: central finite differences against the tape, and
-unfused reference compositions of the fused layer primitives."""
+"""Shared test utilities: central finite differences against the tape,
+unfused reference compositions of the fused layer primitives, and archive
+editing."""
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,3 +97,20 @@ def ref_film_modulate(x: Tensor, time_embedding: Tensor, w: Tensor, b: Tensor) -
         time_embedding = time_embedding.reshape((1, time_embedding.shape[0]))
     gb = ref_linear(time_embedding, w, b)
     return x * (gb[..., :width] + 1.0) + gb[..., width:]
+
+
+# -- archives ---------------------------------------------------------------
+
+
+def edit_archive(path, edit: Callable[[dict], None]) -> None:
+    """Rewrite a ``pertmap.dataio`` archive after ``edit(members)`` changed
+    its members in place.  ``members["header"]`` is the decoded JSON
+    header, encoded again unless ``edit`` replaced it by an array."""
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members["header"] = json.loads(str(members["header"]))
+    edit(members)
+    if isinstance(members["header"], dict):
+        members["header"] = np.array(json.dumps(members["header"]))
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)

@@ -1,17 +1,26 @@
-"""Batch-file and checkpoint round trips, and rejection of malformed files."""
+"""Dataset and checkpoint archive round trips, and rejection of malformed
+files: edited headers, cuts and flipped bytes."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import struct
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import edit_archive
 from pertmap import dataio, datasets
 from pertmap.errors import InvalidArgumentError
-from pertmap.model import build_model, toy_config
+from pertmap.model import ModelConfig, build_model, toy_config
+
+MICRO_CFG = ModelConfig(
+    layers=1, embed_dim=4, ff_dim=4, heads=1, head_dim=4, register_tokens=1, max_genes=2, max_context=1
+)
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def _float32_rounded(x: np.ndarray) -> np.ndarray:
@@ -38,8 +47,8 @@ def test_dataset_round_trip_is_float32_rounding(tmp_path):
             assert np.array_equal(loaded.treatment_codes[key], _float32_rounded(ds.treatment_codes[key]))
 
 
-def _toy_checkpoint(path):
-    cfg = toy_config(max_genes=3, max_context=2)
+def _toy_checkpoint(path, cfg=None):
+    cfg = cfg or toy_config(max_genes=3, max_context=2)
     params = build_model(cfg, seed=4)
     rng = np.random.default_rng(9)
     for _, t in params.items():  # no zero-initialized tensors left
@@ -50,6 +59,7 @@ def _toy_checkpoint(path):
 
 def test_checkpoint_round_trip_through_restore_params_is_exact(tmp_path):
     params, cfg = _toy_checkpoint(tmp_path / "model.ckpt")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
     values, loaded_cfg, extra = dataio.load_checkpoint(tmp_path / "model.ckpt")
     restored = dataio.restore_params(values, loaded_cfg)
     assert loaded_cfg == cfg and extra == {"step": 7}
@@ -59,40 +69,14 @@ def test_checkpoint_round_trip_through_restore_params_is_exact(tmp_path):
         assert np.array_equal(restored[name].data, t.data)
 
 
-def _header_end(buf: bytes) -> int:
-    (header_len,) = struct.unpack_from("<I", buf, 8)
-    return 12 + header_len
-
-
-def _replace_header(path, edit) -> None:
-    """Rewrite a checkpoint's header bytes with ``edit(header_bytes)``."""
-    buf = path.read_bytes()
-    header = edit(buf[12 : _header_end(buf)])
-    path.write_bytes(buf[:8] + struct.pack("<I", len(header)) + header + buf[_header_end(buf) :])
-
-
-def _edit_model_config(edit):
-    def rewrite(header_bytes: bytes) -> bytes:
-        header = json.loads(header_bytes)
-        edit(header)
-        return json.dumps(header, sort_keys=True).encode("utf-8")
-
-    return rewrite
-
-
-def test_checkpoint_header_with_condition_drop_prob_still_loads(tmp_path):
-    path = tmp_path / "model.ckpt"
-    params, cfg = _toy_checkpoint(path)
-    _replace_header(path, _edit_model_config(lambda h: h["model_config"].update(condition_drop_prob=0.2)))
-    values, loaded_cfg, _ = dataio.load_checkpoint(path)
-    assert loaded_cfg == cfg
-    assert sorted(values) == sorted(params.names())
+def _edit_header(edit):
+    return lambda members: edit(members["header"])
 
 
 def test_checkpoint_header_with_unknown_config_key_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
-    _replace_header(path, _edit_model_config(lambda h: h["model_config"].update(bogus=1)))
+    edit_archive(path, _edit_header(lambda h: h["model_config"].update(bogus=1)))
     with pytest.raises(InvalidArgumentError, match="bogus"):
         dataio.load_checkpoint(path)
 
@@ -100,7 +84,7 @@ def test_checkpoint_header_with_unknown_config_key_is_rejected(tmp_path):
 def test_checkpoint_header_with_a_non_integer_config_value_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
-    _replace_header(path, _edit_model_config(lambda h: h["model_config"].update(layers="2")))
+    edit_archive(path, _edit_header(lambda h: h["model_config"].update(layers="2")))
     with pytest.raises(InvalidArgumentError, match="layers"):
         dataio.load_checkpoint(path)
 
@@ -119,51 +103,86 @@ def test_checkpoint_header_with_a_non_integer_config_value_is_rejected(tmp_path)
 def test_checkpoint_header_with_a_size_below_one_is_rejected(tmp_path, sizes):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
-    _replace_header(path, _edit_model_config(lambda h: h["model_config"].update(sizes)))
+    edit_archive(path, _edit_header(lambda h: h["model_config"].update(sizes)))
     with pytest.raises(InvalidArgumentError, match="at least"):
+        dataio.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["extra", "format"])
+def test_checkpoint_header_without_a_key_is_rejected(tmp_path, key):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    edit_archive(path, _edit_header(lambda h: h.pop(key)))
+    with pytest.raises(InvalidArgumentError, match=key):
         dataio.load_checkpoint(path)
 
 
 def test_checkpoint_header_without_model_config_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
-    _replace_header(path, _edit_model_config(lambda h: h.pop("model_config")))
-    with pytest.raises(InvalidArgumentError):
+    edit_archive(path, _edit_header(lambda h: h.pop("model_config")))
+    with pytest.raises(InvalidArgumentError, match="model_config"):
         dataio.load_checkpoint(path)
 
 
 def test_checkpoint_header_that_is_not_json_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
-    _replace_header(path, lambda header_bytes: header_bytes[:-1])
-    with pytest.raises(InvalidArgumentError):
+    edit_archive(path, lambda members: members.update(header=np.array(json.dumps(members["header"])[:-1])))
+    with pytest.raises(InvalidArgumentError, match="JSON"):
         dataio.load_checkpoint(path)
 
 
 def test_checkpoint_header_that_is_not_utf8_is_rejected(tmp_path):
+    # A byte-string header, let alone one that is not UTF-8, is not read.
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
-    _replace_header(path, lambda header_bytes: b"\xff" + header_bytes)
-    with pytest.raises(InvalidArgumentError):
+
+    def byte_string_header(members):
+        members["header"] = np.array(b"\xff" + json.dumps(members["header"]).encode())
+
+    edit_archive(path, byte_string_header)
+    with pytest.raises(InvalidArgumentError, match="header"):
         dataio.load_checkpoint(path)
 
 
 def test_checkpoint_tensor_name_that_is_not_utf8_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    _toy_checkpoint(path)
-    buf = bytearray(path.read_bytes())
-    buf[_header_end(buf) + 4] = 0xFF  # first byte of the first tensor name
-    path.write_bytes(bytes(buf))
+    params, _ = _toy_checkpoint(path)
+    first = next(iter(params.names())).encode()
+    buf = path.read_bytes()
+    assert buf.count(first + b".npy") == 2  # its local header and the central directory
+    path.write_bytes(buf.replace(first + b".npy", b"\xff" + first[1:] + b".npy"))
     with pytest.raises(InvalidArgumentError):
+        dataio.load_checkpoint(path)
+
+
+def test_checkpoint_tensor_that_is_not_float32_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    params, _ = _toy_checkpoint(path)
+    name = next(iter(params.names()))
+    edit_archive(path, lambda members: members.update({name: members[name].astype(np.float64)}))
+    with pytest.raises(InvalidArgumentError, match="float32"):
         dataio.load_checkpoint(path)
 
 
 def test_checkpoint_header_with_inconsistent_heads_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
-    _replace_header(path, _edit_model_config(lambda h: h["model_config"].update(heads=3)))
+    edit_archive(path, _edit_header(lambda h: h["model_config"].update(heads=3)))
     with pytest.raises(InvalidArgumentError, match="heads"):
         dataio.load_checkpoint(path)
+
+
+def test_checkpoint_with_a_missing_or_extra_tensor_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    params, _ = _toy_checkpoint(path)
+    name = next(iter(params.names()))
+    for edit in (lambda m: m.pop(name), lambda m: m.update({name: m[name], "spare": m[name]})):
+        _toy_checkpoint(path)
+        edit_archive(path, edit)
+        with pytest.raises(InvalidArgumentError, match="tensors"):
+            dataio.load_checkpoint(path)
 
 
 def test_restore_params_rejects_inconsistent_heads(tmp_path):
@@ -184,24 +203,29 @@ def test_restore_params_rejects_a_wrong_shape(tmp_path):
         dataio.restore_params(values, cfg)
 
 
+def _member_offsets(path) -> list[int]:
+    """File offset of each member's local header, in archive order."""
+    with zipfile.ZipFile(path) as archive:
+        return [info.header_offset for info in archive.infolist()]
+
+
 def test_checkpoint_cut_at_end_of_header_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
+    with zipfile.ZipFile(path) as archive:
+        assert archive.infolist()[0].filename == "header.npy"
     buf = path.read_bytes()
-    path.write_bytes(buf[: _header_end(buf)])
+    path.write_bytes(buf[: _member_offsets(path)[1]])
     with pytest.raises(InvalidArgumentError):
         dataio.load_checkpoint(path)
 
 
 def test_checkpoint_cut_at_tensor_boundary_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    params, _ = _toy_checkpoint(path)
+    _toy_checkpoint(path)
     buf = path.read_bytes()
-    boundaries = [_header_end(buf)]
-    for name, t in params.items():
-        boundaries.append(boundaries[-1] + 8 + len(name.encode("utf-8")) + 4 * (t.ndim + t.data.size))
-    assert boundaries[-1] == len(buf)
-    for cut in (boundaries[1], boundaries[-2]):
+    offsets = _member_offsets(path)
+    for cut in (offsets[2], offsets[-1]):
         path.write_bytes(buf[:cut])
         with pytest.raises(InvalidArgumentError):
             dataio.load_checkpoint(path)
@@ -210,63 +234,89 @@ def test_checkpoint_cut_at_tensor_boundary_is_rejected(tmp_path):
 def test_checkpoint_cut_inside_a_tensor_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
-    path.write_bytes(path.read_bytes()[:-2])
+    buf = path.read_bytes()
+    path.write_bytes(buf[: _member_offsets(path)[-1] - 2])
     with pytest.raises(InvalidArgumentError):
         dataio.load_checkpoint(path)
 
 
-def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path):
+def test_archive_holding_a_single_array_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    _toy_checkpoint(path)
-    path.write_bytes(path.read_bytes() + b"\x00" * 4)
-    with pytest.raises(InvalidArgumentError):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3, dtype=np.float32))
+    with pytest.raises(InvalidArgumentError, match="archive"):
         dataio.load_checkpoint(path)
 
 
-def _batch_file(path) -> bytes:
-    values = np.arange(12, dtype=float).reshape(4, 3)
-    dataio.write_batch_file(path, values, dataio.KIND_INTERVENTIONAL, np.array([0.0, 1.5, 0.0]))
-    return path.read_bytes()
+# -- corrupted files ------------------------------------------------------------
 
 
-def test_batch_file_round_trip(tmp_path):
-    _batch_file(tmp_path / "b.bin")
-    values, kind, code = dataio.read_batch_file(tmp_path / "b.bin")
-    assert kind == dataio.KIND_INTERVENTIONAL
-    assert np.array_equal(values, np.arange(12, dtype=float).reshape(4, 3))
-    assert np.array_equal(code, [0.0, 1.5, 0.0])
+def _save(kind: str, directory):
+    """Save a 1-context dataset or a micro-width checkpoint in ``directory``;
+    return a function loading it."""
+    if kind == "dataset":
+        datasets.save_dataset(datasets.generate_scm_dataset(1, 3, 8, base_seed=4), directory)
+        return lambda: datasets.load_dataset(directory)
+    _toy_checkpoint(directory / "model.ckpt", MICRO_CFG)
+    return lambda: dataio.load_checkpoint(directory / "model.ckpt")
 
 
-def test_batch_file_short_header_is_rejected(tmp_path):
-    path = tmp_path / "b.bin"
-    path.write_bytes(_batch_file(path)[:15])
-    with pytest.raises(InvalidArgumentError):
-        dataio.read_batch_file(path)
+def _contents(loaded):
+    """A loaded dataset or checkpoint as comparable plain values."""
+    if isinstance(loaded, datasets.PerturbationDataset):
+        meta = (loaded.kind, loaded.d, loaded.n, loaded.paired, loaded.base_seed)
+        arrays = {("obs", c): a for c, a in loaded.observational.items()}
+        arrays.update({("int", *key): a for key, a in loaded.interventional.items()})
+        arrays.update({("code", *key): a for key, a in loaded.treatment_codes.items()})
+    else:
+        arrays, cfg, extra = loaded
+        meta = (cfg, extra)
+    return meta, {key: (a.dtype.str, a.shape, a.tobytes()) for key, a in arrays.items()}
 
 
-def test_batch_file_short_payload_is_rejected(tmp_path):
-    path = tmp_path / "b.bin"
-    path.write_bytes(_batch_file(path)[:-4])
-    with pytest.raises(InvalidArgumentError):
-        dataio.read_batch_file(path)
-
-
-def test_batch_file_trailing_bytes_are_rejected(tmp_path):
-    path = tmp_path / "b.bin"
-    path.write_bytes(_batch_file(path) + b"\x00" * 4)
-    with pytest.raises(InvalidArgumentError):
-        dataio.read_batch_file(path)
-
-
-def test_batch_file_write_rejects_an_unknown_kind(tmp_path):
-    with pytest.raises(InvalidArgumentError):
-        dataio.write_batch_file(tmp_path / "b.bin", np.zeros((2, 3)), 7, np.zeros(3))
-
-
-def test_batch_file_read_rejects_an_unknown_kind(tmp_path):
-    path = tmp_path / "b.bin"
-    buf = bytearray(_batch_file(path))
-    struct.pack_into("<I", buf, 16, 7)
+@pytest.mark.parametrize("kind", ["dataset", "checkpoint"])
+def test_flipped_payload_byte_is_rejected(tmp_path, kind):
+    load = _save(kind, tmp_path)
+    loaded = load()
+    first = loaded.observational[0] if kind == "dataset" else next(iter(loaded[0].values()))
+    payload = first.astype("<f4").tobytes()
+    (path,) = [p for p in tmp_path.iterdir() if payload in p.read_bytes()]
+    buf = bytearray(path.read_bytes())
+    buf[buf.index(payload) + len(payload) // 2] ^= 0x10
     path.write_bytes(bytes(buf))
     with pytest.raises(InvalidArgumentError):
-        dataio.read_batch_file(path)
+        load()
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """Both kinds of file, saved once: (path, its bytes, loader, contents)."""
+    out = {}
+    for kind in ("dataset", "checkpoint"):
+        directory = tmp_path_factory.mktemp(kind)
+        load = _save(kind, directory)
+        (path,) = directory.iterdir()
+        out[kind] = (path, path.read_bytes(), load, _contents(load()))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["dataset", "checkpoint"])
+@FUZZ
+@given(data=st.data())
+def test_cut_or_flipped_file_is_rejected_or_loads_unchanged(saved_files, kind, data):
+    path, original, load, expected = saved_files[kind]
+    offset = data.draw(st.integers(0, len(original) - 1), label="offset")
+    if data.draw(st.booleans(), label="cut"):
+        corrupted = original[:offset]
+    else:
+        flipped = bytearray(original)
+        flipped[offset] ^= data.draw(st.integers(1, 255), label="xor")
+        corrupted = bytes(flipped)
+    path.write_bytes(corrupted)
+    try:
+        loaded = load()
+    except InvalidArgumentError:
+        return
+    finally:
+        path.write_bytes(original)
+    assert _contents(loaded) == expected

@@ -1,14 +1,15 @@
 """Dataset generation contracts: the worker count never changes the data,
-and loading rejects a malformed dataset directory."""
+loading rejects a malformed dataset archive, and the bundle sampler rejects
+bad arguments."""
 
 from __future__ import annotations
 
 import json
-import shutil
 
 import numpy as np
 import pytest
 
+from helpers import edit_archive
 from pertmap import datasets, scm
 from pertmap.errors import InvalidArgumentError
 from pertmap.seeding import ROLE_STRUCTURE, mix_seed
@@ -32,31 +33,59 @@ def test_scm_dataset_is_worker_count_invariant():
 
 
 def test_grn_dataset_is_worker_count_invariant():
-    serial = datasets.generate_grn_dataset(2, 4, 20, base_seed=5, workers=1)
-    parallel = datasets.generate_grn_dataset(2, 4, 20, base_seed=5, workers=2)
-    _assert_identical(serial, parallel)
+    for paired in (False, True):
+        serial = datasets.generate_grn_dataset(2, 4, 20, paired=paired, base_seed=5, workers=1)
+        parallel = datasets.generate_grn_dataset(2, 4, 20, paired=paired, base_seed=5, workers=2)
+        _assert_identical(serial, parallel)
+
+
+# The manifest is the dataset archive's JSON header: it lists the contexts
+# and the [context, treatment] conditions whose batches the members stack.
 
 
 def _saved(tmp_path):
     """A saved 1-context SCM dataset and its manifest as a dict."""
     datasets.save_dataset(datasets.generate_scm_dataset(1, 3, 8, base_seed=4), tmp_path)
-    return json.loads((tmp_path / "manifest.json").read_text())
+    with np.load(tmp_path / datasets.DATASET_FILE) as archive:
+        return json.loads(str(archive["header"]))
+
+
+def _edit_members(tmp_path, edit):
+    edit_archive(tmp_path / datasets.DATASET_FILE, edit)
 
 
 def _rewrite(tmp_path, manifest):
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    _edit_members(tmp_path, lambda members: members.update(header=manifest))
+
+
+def test_dataset_is_one_archive(tmp_path):
+    manifest = _saved(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [datasets.DATASET_FILE]
+    assert manifest == {
+        "format": 2, "kind": "scm", "d": 3, "n": 8, "paired": False, "base_seed": 4,
+        "contexts": [0], "conditions": [[0, 0], [0, 1], [0, 2]],
+    }
+
+
+@pytest.mark.parametrize("batches", ["observational", "interventional", "treatment_codes"])
+def test_saving_a_batch_of_the_wrong_shape_is_rejected(tmp_path, batches):
+    ds = datasets.generate_scm_dataset(1, 3, 8, base_seed=4)
+    key = next(iter(getattr(ds, batches)))
+    getattr(ds, batches)[key] = getattr(ds, batches)[key][:-1]
+    with pytest.raises(InvalidArgumentError, match="shape"):
+        datasets.save_dataset(ds, tmp_path)
 
 
 def test_manifest_that_is_not_json_is_rejected(tmp_path):
     _saved(tmp_path)
-    (tmp_path / "manifest.json").write_text("{not json")
+    _edit_members(tmp_path, lambda members: members.update(header=np.array("{not json")))
     with pytest.raises(InvalidArgumentError):
         datasets.load_dataset(tmp_path)
 
 
 def test_manifest_with_another_format_is_rejected(tmp_path):
     manifest = _saved(tmp_path)
-    manifest["format"] = 2
+    manifest["format"] = 1
     _rewrite(tmp_path, manifest)
     with pytest.raises(InvalidArgumentError):
         datasets.load_dataset(tmp_path)
@@ -71,45 +100,6 @@ def test_manifest_missing_a_key_is_rejected(tmp_path, key):
         datasets.load_dataset(tmp_path)
 
 
-def test_entry_missing_its_file_is_rejected(tmp_path):
-    manifest = _saved(tmp_path)
-    del manifest["conditions"][1]["file"]
-    _rewrite(tmp_path, manifest)
-    with pytest.raises(InvalidArgumentError):
-        datasets.load_dataset(tmp_path)
-
-
-def test_entry_with_an_unknown_kind_is_rejected(tmp_path):
-    manifest = _saved(tmp_path)
-    manifest["conditions"][1]["kind"] = "ctrl"
-    _rewrite(tmp_path, manifest)
-    with pytest.raises(InvalidArgumentError):
-        datasets.load_dataset(tmp_path)
-
-
-def test_interventional_file_listed_as_obs_is_rejected(tmp_path):
-    manifest = _saved(tmp_path)
-    entry = manifest["conditions"][1]
-    assert entry["kind"] == "int"
-    entry["kind"] = "obs"
-    _rewrite(tmp_path, manifest)
-    with pytest.raises(InvalidArgumentError):
-        datasets.load_dataset(tmp_path)
-
-
-@pytest.mark.parametrize("name", ["../ctx00000_obs.bin", "sub/ctx00000_obs.bin", "..", ""])
-def test_entry_file_outside_the_directory_is_rejected(tmp_path, name):
-    manifest = _saved(tmp_path / "ds")
-    # Valid batch files wait at both escaped paths.
-    (tmp_path / "ds" / "sub").mkdir()
-    for copy in (tmp_path / "ctx00000_obs.bin", tmp_path / "ds" / "sub" / "ctx00000_obs.bin"):
-        shutil.copy(tmp_path / "ds" / "ctx00000_obs.bin", copy)
-    manifest["conditions"][0]["file"] = name
-    _rewrite(tmp_path / "ds", manifest)
-    with pytest.raises(InvalidArgumentError):
-        datasets.load_dataset(tmp_path / "ds")
-
-
 @pytest.mark.parametrize("key", ["d", "n"])
 def test_manifest_size_that_disagrees_with_the_files_is_rejected(tmp_path, key):
     manifest = _saved(tmp_path)
@@ -119,9 +109,42 @@ def test_manifest_size_that_disagrees_with_the_files_is_rejected(tmp_path, key):
         datasets.load_dataset(tmp_path)
 
 
+def test_entry_missing_its_file_is_rejected(tmp_path):
+    # Each member of the archive is a file in the zip.
+    _saved(tmp_path)
+    _edit_members(tmp_path, lambda members: members.pop("int"))
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+def test_entry_with_an_unknown_kind_is_rejected(tmp_path):
+    _saved(tmp_path)
+    _edit_members(tmp_path, lambda members: members.update(ctrl=members["obs"]))
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+def test_interventional_file_listed_as_obs_is_rejected(tmp_path):
+    _saved(tmp_path)
+    _edit_members(tmp_path, lambda members: members.update(obs=members["int"], int=members["obs"]))
+    with pytest.raises(InvalidArgumentError):
+        datasets.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("member", ["obs", "int", "codes"])
+def test_member_missing_a_row_is_rejected(tmp_path, member):
+    _saved(tmp_path)
+    _edit_members(tmp_path, lambda members: members.update({member: members[member][:-1]}))
+    with pytest.raises(InvalidArgumentError, match="implies"):
+        datasets.load_dataset(tmp_path)
+
+
 @pytest.mark.parametrize(
     "key, value",
-    [("d", "abc"), ("d", None), ("n", 8.9), ("base_seed", [1]), ("base_seed", True), ("paired", "no")],
+    [
+        ("d", "abc"), ("d", None), ("n", 8.9), ("base_seed", [1]), ("base_seed", True), ("paired", "no"),
+        ("contexts", ["0"]),
+    ],
 )
 def test_manifest_value_of_the_wrong_type_is_rejected(tmp_path, key, value):
     manifest = _saved(tmp_path)
@@ -137,7 +160,7 @@ def test_manifest_value_of_the_wrong_type_is_rejected(tmp_path, key, value):
 )
 def test_entry_value_of_the_wrong_type_is_rejected(tmp_path, index, key, value):
     manifest = _saved(tmp_path)
-    manifest["conditions"][index][key] = value
+    manifest["conditions"][index][("context", "treatment").index(key)] = value
     _rewrite(tmp_path, manifest)
     with pytest.raises(InvalidArgumentError):
         datasets.load_dataset(tmp_path)
@@ -145,30 +168,26 @@ def test_entry_value_of_the_wrong_type_is_rejected(tmp_path, index, key, value):
 
 @pytest.mark.parametrize("index", [0, 1])
 def test_entry_listed_twice_is_rejected(tmp_path, index):
+    # Entry 0 is the context, entry 1 a condition; its batch is stacked twice too.
     manifest = _saved(tmp_path)
-    manifest["conditions"].append(dict(manifest["conditions"][index]))
-    _rewrite(tmp_path, manifest)
-    with pytest.raises(InvalidArgumentError):
+    listed, stacked = ("contexts", ["obs"]) if index == 0 else ("conditions", ["int", "codes"])
+    manifest[listed].append(manifest[listed][0])
+
+    def twice(members):
+        members.update({name: np.concatenate([members[name], members[name][:1]]) for name in stacked})
+        members["header"] = manifest
+
+    _edit_members(tmp_path, twice)
+    with pytest.raises(InvalidArgumentError, match="distinct|twice"):
         datasets.load_dataset(tmp_path)
 
 
 def test_context_without_an_observational_batch_is_rejected(tmp_path):
     manifest = _saved(tmp_path)
-    assert manifest["conditions"][0]["kind"] == "obs"
-    del manifest["conditions"][0]
+    manifest["conditions"][0][0] = 1
     _rewrite(tmp_path, manifest)
     with pytest.raises(InvalidArgumentError):
         datasets.load_dataset(tmp_path)
-
-
-def test_manifest_entries_with_a_seed_still_load(tmp_path):
-    # Earlier versions wrote an unread per-entry "seed".
-    manifest = _saved(tmp_path)
-    expected = datasets.load_dataset(tmp_path)
-    for i, entry in enumerate(manifest["conditions"]):
-        entry["seed"] = 1000 + i
-    _rewrite(tmp_path, manifest)
-    _assert_identical(datasets.load_dataset(tmp_path), expected)
 
 
 def test_paired_scm_dataset_changes_only_the_treated_gene_and_its_descendants():
@@ -181,3 +200,13 @@ def test_paired_scm_dataset_changes_only_the_treated_gene_and_its_descendants():
             assert np.array_equal(batch[:, rest], paired.observational[c][:, rest])
             diff = unpaired.interventional[(c, t)][:, rest] - unpaired.observational[c][:, rest]
             assert np.all(np.abs(diff).max(axis=0) > 0.5)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(k_context=-1), dict(n_obs_tokens=0), dict(m_tokens=0)], ids=lambda kw: ",".join(kw)
+)
+def test_bundle_sampler_rejects_bad_sizes(kwargs):
+    ds = datasets.generate_scm_dataset(1, 3, 8, base_seed=4)
+    args = dict(k_context=1, max_context=2, seed=0, n_obs_tokens=4, m_tokens=4) | kwargs
+    with pytest.raises(InvalidArgumentError):
+        datasets.BundleSampler(ds, ds.conditions, **args)

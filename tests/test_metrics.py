@@ -145,6 +145,12 @@ def test_sinkhorn_kernel_that_left_the_float_range_raises():
         metrics._absorbed_sums(np.array([[0.0, 0.0], [1.0, 2.0]]), 0.1)
 
 
+@pytest.mark.parametrize("metric", [metrics.sinkhorn_divergence, metrics.mmd_rbf], ids=lambda f: f.__name__)
+def test_two_sample_metrics_reject_mismatched_gene_counts(metric):
+    with pytest.raises(InvalidArgumentError, match="same genes"):
+        metric(RNG.standard_normal((5, 3)), RNG.standard_normal((5, 2)))
+
+
 # -- MMD ---------------------------------------------------------------------
 
 

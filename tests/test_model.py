@@ -11,7 +11,7 @@ from pertmap import autodiff as ad
 from pertmap import model as mdl
 from pertmap import training as tr
 from pertmap.errors import InvalidArgumentError
-from pertmap.model import ExperimentBundle, ModelConfig, NoisedQuery
+from pertmap.model import ExperimentBundle, ModelConfig
 
 RNG = np.random.default_rng(3131)
 
@@ -98,8 +98,8 @@ def test_forward_output_shape():
     params = mdl.build_model(cfg, seed=1)
     bundle = _bundle()
     for m in (1, 5):
-        noised = NoisedQuery(y_tau=RNG.standard_normal((m, cfg.max_genes)), tau=0.3)
-        out = mdl.forward(params, cfg, noised, bundle)
+        noised = (RNG.standard_normal((m, cfg.max_genes)), 0.3)
+        out = mdl.forward(params, cfg, *noised, bundle)
         assert out.shape == (m, cfg.max_genes)
         assert np.all(np.isfinite(out.data))
 
@@ -110,8 +110,8 @@ def test_forward_query_row_equivariance():
     bundle = _bundle()
     y_tau = RNG.standard_normal((6, cfg.max_genes))
     perm = np.random.default_rng(0).permutation(6)
-    base = mdl.forward(params, cfg, NoisedQuery(y_tau, 0.4), bundle).data
-    permuted = mdl.forward(params, cfg, NoisedQuery(y_tau[perm], 0.4), bundle).data
+    base = mdl.forward(params, cfg, y_tau, 0.4, bundle).data
+    permuted = mdl.forward(params, cfg, y_tau[perm], 0.4, bundle).data
     _assert_close(base[perm], permuted)
 
 
@@ -122,8 +122,8 @@ def test_forward_context_cell_permutation_invariance():
     params = _random_model(cfg, seed=3)
     rng = np.random.default_rng(7)
     bundle = _bundle(rng=rng)
-    noised = NoisedQuery(rng.standard_normal((4, cfg.max_genes)), 0.6)
-    base = mdl.forward(params, cfg, noised, bundle).data
+    noised = (rng.standard_normal((4, cfg.max_genes)), 0.6)
+    base = mdl.forward(params, cfg, *noised, bundle).data
 
     obs_perm = np.random.default_rng(1).permutation(bundle.y_obs.shape[0])
     shuffled_obs = ExperimentBundle(
@@ -131,7 +131,7 @@ def test_forward_context_cell_permutation_invariance():
         context=bundle.context,
         query_code=bundle.query_code,
     )
-    _assert_close(base, mdl.forward(params, cfg, noised, shuffled_obs).data)
+    _assert_close(base, mdl.forward(params, cfg, *noised, shuffled_obs).data)
 
     code0, batch0 = bundle.context[0]
     ctx_perm = np.random.default_rng(2).permutation(batch0.shape[0])
@@ -140,7 +140,7 @@ def test_forward_context_cell_permutation_invariance():
         context=((code0, batch0[ctx_perm]),) + bundle.context[1:],
         query_code=bundle.query_code,
     )
-    _assert_close(base, mdl.forward(params, cfg, noised, shuffled_ctx).data)
+    _assert_close(base, mdl.forward(params, cfg, *noised, shuffled_ctx).data)
 
 
 def test_forward_experiment_reorder_with_slots_is_invariant():
@@ -148,8 +148,8 @@ def test_forward_experiment_reorder_with_slots_is_invariant():
     params = _random_model(cfg, seed=4)
     rng = np.random.default_rng(9)
     bundle = _bundle(k=3, rng=rng)
-    noised = NoisedQuery(rng.standard_normal((4, cfg.max_genes)), 0.2)
-    base = mdl.forward(params, cfg, noised, bundle).data
+    noised = (rng.standard_normal((4, cfg.max_genes)), 0.2)
+    base = mdl.forward(params, cfg, *noised, bundle).data
     order = [2, 0, 1]
     moved = ExperimentBundle(
         y_obs=bundle.y_obs,
@@ -157,7 +157,7 @@ def test_forward_experiment_reorder_with_slots_is_invariant():
         query_code=bundle.query_code,
         context_slots=tuple(order),  # slots travel with their experiments
     )
-    _assert_close(base, mdl.forward(params, cfg, noised, moved).data)
+    _assert_close(base, mdl.forward(params, cfg, *noised, moved).data)
 
 
 def test_forward_depends_on_the_context_slots():
@@ -167,11 +167,11 @@ def test_forward_depends_on_the_context_slots():
     params = _random_model(cfg, seed=10)
     rng = np.random.default_rng(10)
     bundle = _bundle(k=3, rng=rng)
-    noised = NoisedQuery(rng.standard_normal((4, cfg.max_genes)), 0.5)
-    base = mdl.forward(params, cfg, noised, bundle).data
+    noised = (rng.standard_normal((4, cfg.max_genes)), 0.5)
+    base = mdl.forward(params, cfg, *noised, bundle).data
     for slots in [(2, 0, 1), (1, 2, 3)]:
         moved = dataclasses.replace(bundle, context_slots=slots)
-        change = np.abs(mdl.forward(params, cfg, noised, moved).data - base).max()
+        change = np.abs(mdl.forward(params, cfg, *noised, moved).data - base).max()
         assert change > 0.01 * np.abs(base).max()
 
 
@@ -183,7 +183,7 @@ def test_forward_zero_shot_context():
         context=(),
         query_code=np.eye(cfg.max_genes)[2],
     )
-    out = mdl.forward(params, cfg, NoisedQuery(RNG.standard_normal((3, cfg.max_genes)), 0.5), bundle)
+    out = mdl.forward(params, cfg, RNG.standard_normal((3, cfg.max_genes)), 0.5, bundle)
     assert out.shape == (3, cfg.max_genes)
     assert np.all(np.isfinite(out.data))
 
@@ -192,8 +192,8 @@ def test_drop_condition_ignores_bundle_contents():
     cfg = mdl.toy_config()
     params = _random_model(cfg, seed=6)
     y_tau = RNG.standard_normal((5, cfg.max_genes))
-    a = mdl.forward(params, cfg, NoisedQuery(y_tau, 0.7), _bundle(), drop_condition=True)
-    b = mdl.forward(params, cfg, NoisedQuery(y_tau, 0.7), _bundle(k=4, n_obs=3), drop_condition=True)
+    a = mdl.forward(params, cfg, y_tau, 0.7, _bundle(), drop_condition=True)
+    b = mdl.forward(params, cfg, y_tau, 0.7, _bundle(k=4, n_obs=3), drop_condition=True)
     assert np.abs(a.data).max() > 0
     assert np.array_equal(a.data, b.data)
 
@@ -201,23 +201,23 @@ def test_drop_condition_ignores_bundle_contents():
 def test_forward_rejects_oversized_context_and_wrong_width():
     cfg = mdl.toy_config(max_context=2)
     params = mdl.build_model(cfg, seed=7)
-    noised = NoisedQuery(RNG.standard_normal((2, cfg.max_genes)), 0.1)
+    noised = (RNG.standard_normal((2, cfg.max_genes)), 0.1)
     with pytest.raises(InvalidArgumentError):
-        mdl.forward(params, cfg, noised, _bundle(k=3))
+        mdl.forward(params, cfg, *noised, _bundle(k=3))
     with pytest.raises(InvalidArgumentError):
-        mdl.forward(params, cfg, noised, _bundle(d=5, k=1))
-    bad_query = NoisedQuery(RNG.standard_normal((2, cfg.max_genes + 1)), 0.1)
+        mdl.forward(params, cfg, *noised, _bundle(d=5, k=1))
+    bad_query = (RNG.standard_normal((2, cfg.max_genes + 1)), 0.1)
     with pytest.raises(InvalidArgumentError):
-        mdl.forward(params, cfg, bad_query, _bundle(k=1))
+        mdl.forward(params, cfg, *bad_query, _bundle(k=1))
 
 
 def test_forward_is_deterministic():
     cfg = mdl.toy_config()
     params = _random_model(cfg, seed=8)
     bundle = _bundle()
-    noised = NoisedQuery(RNG.standard_normal((4, cfg.max_genes)), 0.9)
-    a = mdl.forward(params, cfg, noised, bundle).data
-    b = mdl.forward(params, cfg, noised, bundle).data
+    noised = (RNG.standard_normal((4, cfg.max_genes)), 0.9)
+    a = mdl.forward(params, cfg, *noised, bundle).data
+    b = mdl.forward(params, cfg, *noised, bundle).data
     assert np.abs(a).max() > 0
     assert np.array_equal(a, b)
 
@@ -225,17 +225,17 @@ def test_forward_is_deterministic():
 def test_forward_rejects_bad_context_slots():
     cfg = mdl.toy_config(max_context=3)
     params = mdl.build_model(cfg, seed=9)
-    noised = NoisedQuery(RNG.standard_normal((2, cfg.max_genes)), 0.1)
+    noised = (RNG.standard_normal((2, cfg.max_genes)), 0.1)
     bundle = _bundle(k=2)
     for slots in [(0, 3), (-1, 1), (0,), (0, 1, 2)]:
         with pytest.raises(InvalidArgumentError, match="slot"):
-            mdl.forward(params, cfg, noised, dataclasses.replace(bundle, context_slots=slots))
+            mdl.forward(params, cfg, *noised, dataclasses.replace(bundle, context_slots=slots))
 
 
 def test_forward_rejects_arrays_of_the_wrong_rank():
     cfg = mdl.toy_config()
     params = mdl.build_model(cfg, seed=9)
-    noised = NoisedQuery(RNG.standard_normal((2, cfg.max_genes)), 0.1)
+    noised = (RNG.standard_normal((2, cfg.max_genes)), 0.1)
     bundle = _bundle(k=2)
     code, batch = bundle.context[0]
     for bad in [
@@ -245,7 +245,7 @@ def test_forward_rejects_arrays_of_the_wrong_rank():
         dataclasses.replace(bundle, query_code=bundle.query_code[None]),
     ]:
         with pytest.raises(InvalidArgumentError, match="shapes"):
-            mdl.forward(params, cfg, noised, bad)
+            mdl.forward(params, cfg, *noised, bad)
 
 
 @pytest.mark.parametrize(
@@ -272,7 +272,7 @@ def test_model_config_rejects_sizes_below_one(sizes):
 def test_model_config_accepts_no_register_tokens():
     cfg = dataclasses.replace(mdl.toy_config(), register_tokens=0)
     params = _random_model(cfg, seed=1)
-    out = mdl.forward(params, cfg, NoisedQuery(RNG.standard_normal((3, cfg.max_genes)), 0.5), _bundle())
+    out = mdl.forward(params, cfg, RNG.standard_normal((3, cfg.max_genes)), 0.5, _bundle())
     assert out.shape == (3, cfg.max_genes)
 
 
@@ -321,12 +321,12 @@ def test_every_recorded_op_node_reaches_the_loss(monkeypatch, drop):
 def test_forward_records_no_node_per_context_experiment(monkeypatch):
     cfg = mdl.toy_config()
     params = mdl.build_model(cfg, seed=14)
-    noised = NoisedQuery(RNG.standard_normal((3, cfg.max_genes)), 0.5)
+    noised = (RNG.standard_normal((3, cfg.max_genes)), 0.5)
     nodes = _record_op_nodes(monkeypatch)
     counts = []
     for k in range(cfg.max_context + 1):
         nodes.clear()
-        mdl.forward(params, cfg, noised, _bundle(k=k))
+        mdl.forward(params, cfg, *noised, _bundle(k=k))
         counts.append(len(nodes))
     assert len(set(counts)) == 1, counts
 

@@ -12,7 +12,7 @@ from pertmap import model as mdl
 from pertmap import training as tr
 from pertmap.autodiff import Tensor
 from pertmap.errors import InvalidArgumentError
-from pertmap.model import ExperimentBundle, ModelConfig, NoisedQuery
+from pertmap.model import ExperimentBundle, ModelConfig
 
 RNG = np.random.default_rng(9090)
 
@@ -98,6 +98,11 @@ def test_cfm_loss_single_entry_arithmetic():
     )
     loss = tr.cfm_loss(params, cfg, bundle, tau=0.5, y0=np.zeros((1, 1)))
     assert float(loss.data) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_train_config_rejects_a_batch_size_below_one():
+    with pytest.raises(InvalidArgumentError, match="batch_size"):
+        tr.TrainConfig(total_steps=1, batch_size=0)
 
 
 def test_cfm_loss_shape_mismatch_rejected():
@@ -284,7 +289,7 @@ def test_guidance_identity_at_omega_one():
     bundle = _micro_bundle(rng, with_target=False)
     y = rng.standard_normal((3, 4))
     field = tr.guided_field(params, MICRO_CFG, bundle, omega=1.0)
-    direct = mdl.forward(params, MICRO_CFG, NoisedQuery(y.astype(np.float32), 0.3), bundle).data
+    direct = mdl.forward(params, MICRO_CFG, y.astype(np.float32), 0.3, bundle).data
     assert np.array_equal(field(0.3, y), direct)
 
 
@@ -295,8 +300,8 @@ def test_guidance_formula_at_omega_two():
     params["out.w"].data = (rng.standard_normal(params["out.w"].shape) * 0.1).astype(np.float32)
     bundle = _micro_bundle(rng, with_target=False)
     y = rng.standard_normal((3, 4))
-    noised = NoisedQuery(y.astype(np.float32), 0.6)
-    v_c = mdl.forward(params, MICRO_CFG, noised, bundle).data
-    v_u = mdl.forward(params, MICRO_CFG, noised, bundle, drop_condition=True).data
+    noised = (y.astype(np.float32), 0.6)
+    v_c = mdl.forward(params, MICRO_CFG, *noised, bundle).data
+    v_u = mdl.forward(params, MICRO_CFG, *noised, bundle, drop_condition=True).data
     field = tr.guided_field(params, MICRO_CFG, bundle, omega=2.0)
     assert np.allclose(field(0.6, y), v_u + 2.0 * (v_c - v_u), atol=1e-7)
