@@ -2,11 +2,14 @@
 
 Networks are drawn by preferential attachment with degree smoothing and
 within-module upweighting, made acyclic by deleting the weakest edge of
-every cycle, and guaranteed at least one master regulator.  Expression is
-the steady state of a chemical Langevin equation with Hill-function
-regulation, integrated per cell by Euler-Maruyama; a 10x-style technical
-noise chain (outlier genes, library size, dropout, UMI Poisson) turns clean
-expression into integer counts.
+every cycle, and guaranteed at least one master regulator.  A network is a
+set of edge arrays (regulator, target and signed strength of each edge, in
+sampling order) and per-gene arrays (basal production, decay and
+half-response); each gene's half-response is its noise-free mean.
+Expression is the steady state of a chemical Langevin equation with
+Hill-function regulation, integrated per cell by Euler-Maruyama; a
+10x-style technical noise chain (outlier genes, library size, dropout, UMI
+Poisson) turns clean expression into integer counts.
 
 Every simulation is a pure function of (network, config, seed); per-cell
 noise streams are derived from (seed, cell index), so chunked or parallel
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import networkx as nx
 import numpy as np
@@ -27,6 +29,7 @@ from .seeding import mix_seed
 
 _HALF_RESPONSE_FLOOR = 1e-6
 _OUTLIER_GENE_PROB = 0.01
+_DROPOUT_PERCENTILE = 8.0  # of log1p-expression, at the dropout logistic's midpoint
 _CELL_BLOCK = 512  # cells simulated per vectorized block
 _STEP_CHUNK = 500  # SDE steps per noise chunk
 
@@ -42,6 +45,12 @@ class GrnConfig:
     delta_out: float = 10.0  # out-degree smoothing
     w_modularity: float = 100.0  # within-group attachment weight
 
+    def __post_init__(self):
+        if self.k_groups < 1:
+            raise InvalidArgumentError("k_groups must be >= 1")
+        if self.p_sparsity < 0:
+            raise InvalidArgumentError("p_sparsity must be non-negative")
+
 
 @dataclass(frozen=True)
 class SergioConfig:
@@ -54,55 +63,57 @@ class SergioConfig:
     mu_outlier: float = 3.0
     mu_lib: float = 5.0
     sigma_lib: float = 0.5
-    delta_dropout: float = 8.0  # percentile of the logistic midpoint
     xi_dropout: float = 60.0  # logistic slope
 
-
-@dataclass(frozen=True)
-class Edge:
-    regulator: int
-    target: int
-    strength: float  # signed; positive activates, negative represses
-    half_response: float = 0.0
+    def __post_init__(self):
+        if self.dt <= 0:
+            raise InvalidArgumentError("dt must be positive")
+        if self.burn_in_steps < 1:
+            raise InvalidArgumentError("burn_in_steps must be >= 1")
 
 
 @dataclass(frozen=True)
 class Grn:
     """Signed regulatory network with production/decay kinetics.
 
-    ``basal_rates`` maps every gene without regulators to its production
-    rate; master regulators are the subset of those with at least one
-    target.
+    Edge e runs from ``regulators[e]`` to ``targets[e]`` with signed
+    ``strengths[e]`` (positive activates); these (E,) arrays are in
+    sampling order, the order in which production sums.  The (genes,)
+    arrays hold the ``basal`` production rate (0 where a gene is
+    regulated), the ``decay`` rate lambda, the module in
+    ``group_assignment`` and the ``half_response``: the gene's noise-free
+    mean, floored at 1e-6, and the Hill threshold of its outgoing edges.
     """
 
     genes: int
-    edges: tuple[Edge, ...]
-    basal_rates: dict[int, float]
-    decay: np.ndarray  # per-gene lambda
+    regulators: np.ndarray
+    targets: np.ndarray
+    strengths: np.ndarray
+    basal: np.ndarray
+    decay: np.ndarray
+    half_response: np.ndarray
     group_assignment: np.ndarray
 
     def in_degree(self) -> np.ndarray:
-        deg = np.zeros(self.genes, dtype=int)
-        for e in self.edges:
-            deg[e.target] += 1
-        return deg
+        return np.bincount(self.targets, minlength=self.genes)
 
     def out_degree(self) -> np.ndarray:
-        deg = np.zeros(self.genes, dtype=int)
-        for e in self.edges:
-            deg[e.regulator] += 1
-        return deg
+        return np.bincount(self.regulators, minlength=self.genes)
 
     def master_regulators(self) -> set[int]:
         """Genes with no regulators and at least one target."""
-        in_deg, out_deg = self.in_degree(), self.out_degree()
-        return {g for g in range(self.genes) if in_deg[g] == 0 and out_deg[g] >= 1}
+        return set(np.flatnonzero((self.in_degree() == 0) & (self.out_degree() >= 1)).tolist())
+
+    def keep_edges(self, mask: np.ndarray) -> Grn:
+        """The network with only the edges where ``mask`` is true, in order."""
+        r, t, s = self.regulators[mask], self.targets[mask], self.strengths[mask]
+        return replace(self, regulators=r, targets=t, strengths=s)
 
     def to_digraph(self) -> nx.DiGraph:
         g = nx.DiGraph()
         g.add_nodes_from(range(self.genes))
-        for e in self.edges:
-            g.add_edge(e.regulator, e.target, strength=e.strength)
+        edges = zip(self.regulators.tolist(), self.targets.tolist(), self.strengths.tolist())
+        g.add_weighted_edges_from(edges, weight="strength")
         return g
 
     def is_acyclic(self) -> bool:
@@ -129,7 +140,6 @@ def sample_sergio_config(rng: np.random.Generator) -> SergioConfig:
         mu_outlier=float(rng.uniform(0.8, 5.0)),
         mu_lib=float(rng.uniform(4.5, 6.0)),
         sigma_lib=float(rng.uniform(0.3, 0.7)),
-        delta_dropout=8.0,
         xi_dropout=float(rng.uniform(45.0, 82.0)),
     )
 
@@ -147,7 +157,8 @@ def sample_grn(cfg: GrnConfig, rng: np.random.Generator) -> Grn:
     target with probability proportional to in_degree + delta_in, then its
     regulator proportional to (out_degree + delta_out) * m, where m is
     w_modularity for a same-group pair and 1 otherwise.  Duplicate edges are
-    resampled, so the expected edge count equals the budget.
+    resampled, so the expected edge count equals the budget.  Edges are
+    stored in draw order; ``basal`` and ``half_response`` are left zero.
 
     The raw draw may contain cycles; pass it through :func:`break_cycles`,
     :func:`ensure_master_regulators` and :func:`assign_kinetics` (or use
@@ -162,8 +173,7 @@ def sample_grn(cfg: GrnConfig, rng: np.random.Generator) -> Grn:
 
     in_deg = np.zeros(g)
     out_deg = np.zeros(g)
-    existing: set[tuple[int, int]] = set()
-    edges: list[Edge] = []
+    edges: dict[tuple[int, int], float] = {}  # (regulator, target) -> strength, in draw order
     for _ in range(n_edges):
         for _attempt in range(100):
             t_weights = in_deg + cfg.delta_in
@@ -173,44 +183,44 @@ def sample_grn(cfg: GrnConfig, rng: np.random.Generator) -> Grn:
             )
             r_weights[target] = 0.0
             regulator = int(rng.choice(g, p=r_weights / r_weights.sum()))
-            if (regulator, target) not in existing:
+            if (regulator, target) not in edges:
                 break
         else:
             continue
-        existing.add((regulator, target))
         in_deg[target] += 1
         out_deg[regulator] += 1
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        edges.append(Edge(regulator, target, sign * rng.uniform(1.0, 5.0)))
+        edges[(regulator, target)] = sign * rng.uniform(1.0, 5.0)
 
+    regulators, targets = np.array(list(edges), dtype=np.intp).reshape(-1, 2).T
     return Grn(
         genes=g,
-        edges=tuple(edges),
-        basal_rates={},
+        regulators=regulators,
+        targets=targets,
+        strengths=np.array(list(edges.values()), dtype=float),
+        basal=np.zeros(g),
         decay=rng.uniform(0.5, 1.0, size=g),
+        half_response=np.zeros(g),
         group_assignment=groups,
     )
 
 
 def assign_kinetics(grn: Grn, rng: np.random.Generator) -> Grn:
-    """Attach production rates and half-responses to an acyclic network.
+    """Attach production rates and half-responses to a network.
 
     Every root gene (no regulators) gets a basal rate so no column is
     identically zero; master regulators are the roots with targets.
     """
-    in_deg = grn.in_degree()
-    basal = {
-        gene: _sample_production_rate(rng)
-        for gene in range(grn.genes)
-        if in_deg[gene] == 0
-    }
-    return assign_half_responses(replace(grn, basal_rates=basal))
+    basal = np.zeros(grn.genes)
+    for gene in np.flatnonzero(grn.in_degree() == 0):
+        basal[gene] = _sample_production_rate(rng)
+    return assign_half_responses(replace(grn, basal=basal))
 
 
 def sample_simulation_ready_grn(cfg: GrnConfig, rng: np.random.Generator) -> Grn:
     """Full pipeline: sample, break cycles, force MRs, assign kinetics."""
     grn = break_cycles(sample_grn(cfg, rng))
-    if grn.edges:  # an edgeless draw is a valid degenerate network of basal genes
+    if grn.targets.size:  # an edgeless draw is a valid degenerate network of basal genes
         grn = ensure_master_regulators(grn)
     return assign_kinetics(grn, rng)
 
@@ -229,8 +239,8 @@ def break_cycles(grn: Grn) -> Grn:
         removed.add((u, v))
     if not removed:
         return grn
-    edges = tuple(e for e in grn.edges if (e.regulator, e.target) not in removed)
-    return replace(grn, edges=edges)
+    pairs = zip(grn.regulators.tolist(), grn.targets.tolist())
+    return grn.keep_edges(np.array([pair not in removed for pair in pairs], dtype=bool))
 
 
 def ensure_master_regulators(grn: Grn) -> Grn:
@@ -242,45 +252,26 @@ def ensure_master_regulators(grn: Grn) -> Grn:
     """
     if grn.master_regulators():
         return grn
-    out_deg = grn.out_degree()
-    candidates = [g for g in range(grn.genes) if out_deg[g] >= 1]
-    if not candidates:
+    candidates = np.flatnonzero(grn.out_degree() >= 1)
+    if not candidates.size:
         raise InvalidArgumentError("network has no regulating gene; cannot form a master regulator")
-    in_deg = grn.in_degree()
-    candidates.sort(key=lambda g: (in_deg[g], g))
-    promoted = set(candidates[: math.ceil(0.05 * grn.genes)])
-    edges = tuple(e for e in grn.edges if e.target not in promoted)
-    return replace(grn, edges=edges)
+    by_in_degree = candidates[np.argsort(grn.in_degree()[candidates], kind="stable")]
+    promoted = by_in_degree[: math.ceil(0.05 * grn.genes)]
+    return grn.keep_edges(~np.isin(grn.targets, promoted))
 
 
 def assign_half_responses(grn: Grn) -> Grn:
-    """Set each edge's half-response to its regulator's noise-free mean.
+    """Set each gene's half-response to its noise-free mean.
 
-    Means propagate in topological order from the basal fixed points b/λ,
-    every regulator sitting at exactly half activation of its own mean.
+    At the noise-free fixed point every regulator sits at its own mean,
+    which is also its Hill threshold, so every Hill term is exactly 1/2
+    whatever the Hill coefficient.  The mean of a gene is therefore
+    (basal + sum over its incoming edges of |strength| / 2) / decay, summed
+    in edge order; it needs no acyclic order.
     """
-    means = _noise_free_means(grn)
-    edges = tuple(
-        replace(e, half_response=max(means[e.regulator], _HALF_RESPONSE_FLOOR))
-        for e in grn.edges
-    )
-    return replace(grn, edges=edges)
-
-
-def _noise_free_means(grn: Grn) -> np.ndarray:
-    order = list(nx.topological_sort(grn.to_digraph()))
-    means = np.zeros(grn.genes)
-    incoming: dict[int, list[Edge]] = {}
-    for e in grn.edges:
-        incoming.setdefault(e.target, []).append(e)
-    for gene in order:
-        production = grn.basal_rates.get(gene, 0.0)
-        for e in incoming.get(gene, []):
-            h = max(e.half_response if e.half_response > 0 else means[e.regulator], _HALF_RESPONSE_FLOOR)
-            act = _hill(means[e.regulator], h, 2.0)
-            production += abs(e.strength) * (act if e.strength > 0 else 1.0 - act)
-        means[gene] = production / grn.decay[gene]
-    return means
+    production = grn.basal.copy()
+    np.add.at(production, grn.targets, 0.5 * np.abs(grn.strengths))
+    return replace(grn, half_response=np.maximum(production / grn.decay, _HALF_RESPONSE_FLOOR))
 
 
 def _hill(x, h, gamma):
@@ -296,9 +287,9 @@ def knockout(grn: Grn, gene: int) -> Grn:
     """
     if not 0 <= gene < grn.genes:
         raise InvalidArgumentError(f"gene {gene} out of range for {grn.genes} genes")
-    edges = tuple(e for e in grn.edges if e.regulator != gene and e.target != gene)
-    basal = {g: b for g, b in grn.basal_rates.items() if g != gene}
-    return replace(grn, edges=edges, basal_rates=basal)
+    basal = grn.basal.copy()
+    basal[gene] = 0.0
+    return replace(grn.keep_edges((grn.regulators != gene) & (grn.targets != gene)), basal=basal)
 
 
 def simulate_expression(
@@ -313,34 +304,25 @@ def simulate_expression(
     """
     if n_cells < 1:
         raise InvalidArgumentError("n_cells must be >= 1")
-    genes = grn.genes
-    reg_idx = np.array([e.regulator for e in grn.edges], dtype=int)
-    strengths = np.array([e.strength for e in grn.edges])
-    halves = np.array([max(e.half_response, _HALF_RESPONSE_FLOOR) for e in grn.edges])
-    scatter = np.zeros((len(grn.edges), genes))
-    for i, e in enumerate(grn.edges):
-        scatter[i, e.target] = 1.0
-    basal = np.zeros(genes)
-    for g, b in grn.basal_rates.items():
-        basal[g] = b
-
-    out = np.empty((n_cells, genes))
+    # Row e adds edge e's term to its target; the product sums in edge order.
+    scatter = np.zeros((grn.targets.size, grn.genes))
+    scatter[np.arange(grn.targets.size), grn.targets] = 1.0
+    out = np.empty((n_cells, grn.genes))
     for start in range(0, n_cells, _CELL_BLOCK):
         stop = min(start + _CELL_BLOCK, n_cells)
-        out[start:stop] = _simulate_block(
-            grn, cfg, range(start, stop), seed, reg_idx, strengths, halves, scatter, basal
-        )
+        out[start:stop] = _simulate_block(grn, cfg, range(start, stop), seed, scatter)
     return out
 
 
-def _simulate_block(grn, cfg, cells, seed, reg_idx, strengths, halves, scatter, basal):
-    genes = grn.genes
+def _simulate_block(grn, cfg, cells, seed, scatter):
     block = len(cells)
     rngs = [np.random.default_rng(mix_seed(seed, c)) for c in cells]
-    x = np.zeros((block, genes))
+    x = np.zeros((block, grn.genes))
     sqrt_dt = math.sqrt(cfg.dt)
+    weights = np.abs(grn.strengths)
+    activates = grn.strengths > 0
     # One buffer, refilled per chunk: row i holds cell i's draws.
-    buffer = np.empty((block, min(_STEP_CHUNK, cfg.burn_in_steps), 2, genes))
+    buffer = np.empty((block, min(_STEP_CHUNK, cfg.burn_in_steps), 2, grn.genes))
 
     done = 0
     while done < cfg.burn_in_steps:
@@ -351,15 +333,9 @@ def _simulate_block(grn, cfg, cells, seed, reg_idx, strengths, halves, scatter, 
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=noise[i])
         for s in range(chunk):
-            production = basal[None, :].repeat(block, axis=0)
-            if len(reg_idx) > 0:
-                act = _hill(x[:, reg_idx], halves[None, :], cfg.hill_gamma)
-                contrib = np.where(
-                    strengths[None, :] > 0,
-                    np.abs(strengths)[None, :] * act,
-                    np.abs(strengths)[None, :] * (1.0 - act),
-                )
-                production = production + contrib @ scatter
+            act = _hill(x, grn.half_response, cfg.hill_gamma)[:, grn.regulators]
+            contrib = np.where(activates, weights * act, weights * (1.0 - act))
+            production = grn.basal + contrib @ scatter
             decay_flux = grn.decay[None, :] * x
             drift = (production - decay_flux) * cfg.dt
             diffusion = cfg.zeta * sqrt_dt * (
@@ -389,8 +365,8 @@ def apply_technical_noise(
     In order: (1) outlier genes pick up a LogNormal(mu_outlier, 1) factor,
     (2) each cell is rescaled so its total follows LogNormal(mu_lib,
     sigma_lib), (3) entries drop out with probability from a logistic in
-    log1p-expression whose midpoint sits at the delta-th percentile and
-    whose slope is xi, (4) Poisson sampling yields integer counts.
+    log1p-expression whose midpoint sits at its 8th percentile and whose
+    slope is xi, (4) Poisson sampling yields integer counts.
     """
     clean = np.asarray(clean, dtype=float)
     if np.any(clean < 0):
@@ -411,7 +387,7 @@ def apply_technical_noise(
 
     if dropout:
         log_x = np.log1p(x)
-        midpoint = np.percentile(log_x, cfg.delta_dropout)
+        midpoint = np.percentile(log_x, _DROPOUT_PERCENTILE)
         keep_prob = 1.0 / (1.0 + np.exp(-cfg.xi_dropout * (log_x - midpoint)))
         x = x * (rng.random(x.shape) < keep_prob)
 

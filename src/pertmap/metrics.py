@@ -162,6 +162,16 @@ def _entropic_ot_value(cost: np.ndarray, epsilon: float, max_iters: int, tol: fl
     return transport + epsilon * (entropy_term + 1.0)
 
 
+def _two_samples(y: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as float (cells, genes) arrays; raises unless each has a
+    cell and both have the same genes."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
+    if y.shape[0] < 1 or y_hat.shape[0] < 1 or y.shape[1:] != y_hat.shape[1:]:
+        raise InvalidArgumentError(f"samples must be non-empty over the same genes: {y.shape}, {y_hat.shape}")
+    return y, y_hat
+
+
 def sinkhorn_divergence(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = MetricConfig()) -> float:
     """Debiased entropic transport distance, square-root scale.
 
@@ -169,10 +179,7 @@ def sinkhorn_divergence(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = Me
     ot(Y, Yhat) - ot(Y, Y)/2 - ot(Yhat, Yhat)/2, then reports
     sqrt(max(., 0)) so magnitudes are comparable to a Euclidean distance.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
-    if y.shape[0] < 1 or y_hat.shape[0] < 1 or y.shape[1:] != y_hat.shape[1:]:
-        raise InvalidArgumentError(f"samples must be non-empty over the same genes: {y.shape}, {y_hat.shape}")
+    y, y_hat = _two_samples(y, y_hat)
     eps, iters, tol = cfg.sinkhorn_epsilon, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol
     cross = _entropic_ot_value(cdist(y, y_hat, "sqeuclidean"), eps, iters, tol)
     self_y = _entropic_ot_value(cdist(y, y, "sqeuclidean"), eps, iters, tol)
@@ -189,10 +196,7 @@ def mmd_rbf(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = MetricConfig()
     Returns sqrt(mean_gamma MMD^2(gamma)); the biased estimator is
     non-negative and exactly zero for identical inputs.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
-    if y.shape[1:] != y_hat.shape[1:]:
-        raise InvalidArgumentError(f"samples must be over the same genes: {y.shape}, {y_hat.shape}")
+    y, y_hat = _two_samples(y, y_hat)
     d_yy = cdist(y, y, "sqeuclidean")
     d_hh = cdist(y_hat, y_hat, "sqeuclidean")
     d_yh = cdist(y, y_hat, "sqeuclidean")
@@ -212,11 +216,8 @@ def mmd_rbf(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = MetricConfig()
 
 def rmse_means(y: np.ndarray, y_hat: np.ndarray) -> float:
     """Root mean squared error between the per-gene means."""
-    mu = np.asarray(y, dtype=float).mean(axis=0)
-    mu_hat = np.asarray(y_hat, dtype=float).mean(axis=0)
-    if mu.shape != mu_hat.shape:
-        raise InvalidArgumentError("gene dimensions do not match")
-    return float(np.sqrt(np.mean((mu_hat - mu) ** 2)))
+    y, y_hat = _two_samples(y, y_hat)
+    return float(np.sqrt(np.mean((y_hat.mean(axis=0) - y.mean(axis=0)) ** 2)))
 
 
 def transposed_rank_contributions(
@@ -263,8 +264,12 @@ def magnitude_ratio(
 
 def variance_correlation(y_int: np.ndarray, y_hat: np.ndarray) -> float:
     """Pearson correlation between the per-gene sample variances."""
-    v_int = np.asarray(y_int, dtype=float).var(axis=0, ddof=1)
-    v_hat = np.asarray(y_hat, dtype=float).var(axis=0, ddof=1)
+    y_int = np.asarray(y_int, dtype=float)
+    y_hat = np.asarray(y_hat, dtype=float)
+    if len(y_int) < 2 or len(y_hat) < 2:
+        raise InvalidArgumentError("sample variances need at least two cells per sample")
+    v_int = y_int.var(axis=0, ddof=1)
+    v_hat = y_hat.var(axis=0, ddof=1)
     if v_int.shape != v_hat.shape or v_int.size < 2:
         raise InvalidArgumentError("variance vectors must align and have length >= 2")
     if np.ptp(v_int) == 0.0 or np.ptp(v_hat) == 0.0:

@@ -9,20 +9,29 @@ import pytest
 
 from pertmap import grn as grnmod
 from pertmap.errors import InvalidArgumentError
-from pertmap.grn import Edge, Grn, GrnConfig, SergioConfig
+from pertmap.grn import Grn, GrnConfig, SergioConfig
 
 
 def _manual_grn(genes, edges, basal, decay=None):
+    """A network from (regulator, target, strength) triples and {gene: rate}."""
+    triples = np.array(edges, dtype=float).reshape(-1, 3)
+    basal_rates = np.zeros(genes)
+    basal_rates[list(basal)] = list(basal.values())
     g = Grn(
         genes=genes,
-        edges=tuple(Edge(*e) for e in edges),
-        basal_rates=dict(basal),
+        regulators=triples[:, 0].astype(np.intp),
+        targets=triples[:, 1].astype(np.intp),
+        strengths=triples[:, 2],
+        basal=basal_rates,
         decay=np.full(genes, 0.5) if decay is None else np.asarray(decay, dtype=float),
+        half_response=np.zeros(genes),
         group_assignment=np.zeros(genes, dtype=int),
     )
-    # Half-responses need a topological order; cyclic fixtures get them
-    # after break_cycles inside the test.
-    return grnmod.assign_half_responses(g) if g.is_acyclic() else g
+    return grnmod.assign_half_responses(g)
+
+
+def _edges(g):
+    return list(zip(g.regulators.tolist(), g.targets.tolist(), g.strengths.tolist()))
 
 
 def test_sampled_configs_stay_in_prior_ranges():
@@ -40,8 +49,23 @@ def test_sampled_configs_stay_in_prior_ranges():
         assert 0.8 <= s.mu_outlier <= 5.0
         assert 4.5 <= s.mu_lib <= 6.0
         assert 0.3 <= s.sigma_lib <= 0.7
-        assert s.delta_dropout == 8.0
         assert 45 <= s.xi_dropout <= 82
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (GrnConfig, {"genes": 5, "k_groups": 0}),
+        (GrnConfig, {"genes": 5, "p_sparsity": -0.5}),
+        (SergioConfig, {"dt": 0.0}),
+        (SergioConfig, {"dt": -0.01}),
+        (SergioConfig, {"burn_in_steps": 0}),
+    ],
+    ids=["k_groups", "p_sparsity", "dt_zero", "dt_negative", "burn_in_steps"],
+)
+def test_configs_reject_out_of_range_values(cls, kwargs):
+    with pytest.raises(InvalidArgumentError):
+        cls(**kwargs)
 
 
 def test_production_rates_cover_both_intervals():
@@ -55,7 +79,7 @@ def test_sample_grn_mean_edge_count():
     # 500 draws at 50 genes, sparsity 1.5: mean edge count 75 +- 3.
     rng = np.random.default_rng(7)
     cfg = GrnConfig(genes=50, k_groups=1, p_sparsity=1.5, delta_in=100, delta_out=10, w_modularity=1)
-    counts = [len(grnmod.sample_grn(cfg, rng).edges) for _ in range(500)]
+    counts = [grnmod.sample_grn(cfg, rng).targets.size for _ in range(500)]
     assert abs(np.mean(counts) - 75.0) < 3.0
 
 
@@ -65,9 +89,8 @@ def test_sample_grn_modularity_dominates_at_high_weight():
     within = total = 0
     for _ in range(20):
         g = grnmod.sample_grn(cfg, rng)
-        for e in g.edges:
-            total += 1
-            within += g.group_assignment[e.regulator] == g.group_assignment[e.target]
+        total += g.targets.size
+        within += np.sum(g.group_assignment[g.regulators] == g.group_assignment[g.targets])
     assert within / total > 0.9
 
 
@@ -99,29 +122,26 @@ def test_simulation_ready_grn_invariants_hold():
         cfg = grnmod.sample_grn_config(25, rng)
         g = grnmod.sample_simulation_ready_grn(cfg, rng)
         assert g.is_acyclic()
-        if g.edges:
+        if g.targets.size:
             assert g.master_regulators(), "acyclic non-empty network must have an MR"
-        for e in g.edges:
-            assert 1.0 <= abs(e.strength) <= 5.0
-            assert e.half_response > 0
-        for b in g.basal_rates.values():
-            assert 0.5 <= b <= 2.0 or 3.0 <= b <= 5.0
+        assert np.all((np.abs(g.strengths) >= 1.0) & (np.abs(g.strengths) <= 5.0))
+        assert np.all(g.half_response > 0)
+        b = g.basal[g.basal > 0]
+        assert np.all(((b >= 0.5) & (b <= 2.0)) | ((b >= 3.0) & (b <= 5.0)))
         assert np.all((g.decay >= 0.5) & (g.decay <= 1.0))
-        # every root gene carries a basal rate
-        roots = set(np.flatnonzero(g.in_degree() == 0))
-        assert roots == set(g.basal_rates)
+        # exactly the root genes carry a basal rate
+        assert np.array_equal(g.basal > 0, g.in_degree() == 0)
 
 
 def test_break_cycles_acyclic_input_unchanged():
     g = _manual_grn(3, [(0, 1, 2.0), (1, 2, -1.0)], {0: 1.0})
-    assert grnmod.break_cycles(g).edges == g.edges
+    assert _edges(grnmod.break_cycles(g)) == _edges(g)
 
 
 def test_break_cycles_removes_weakest_edge_of_two_cycle():
     g = _manual_grn(2, [(0, 1, 0.3), (1, 0, -0.9)], {})
     out = grnmod.break_cycles(g)
-    assert len(out.edges) == 1
-    assert out.edges[0].regulator == 1 and out.edges[0].strength == -0.9
+    assert _edges(out) == [(1, 0, -0.9)]
 
 
 def test_break_cycles_shared_minimum_edge_breaks_both():
@@ -133,44 +153,29 @@ def test_break_cycles_shared_minimum_edge_breaks_both():
     assert len(cycles_before) == 2
     out = grnmod.break_cycles(g)
     assert out.is_acyclic()
-    assert len(out.edges) == 3
-    assert all(not (e.regulator == 1 and e.target == 0) for e in out.edges)
+    assert _edges(out) == [(0, 1, 1.0), (0, 2, 1.0), (2, 1, 1.0)]
 
 
 def test_ensure_master_regulators_identity_when_mr_exists():
     g = _manual_grn(4, [(0, 1, 2.0), (1, 2, 2.0), (3, 0, 1.0)], {3: 1.0})
     # gene 3 has in-degree 0 and out-degree 1, so it is already an MR
-    assert grnmod.ensure_master_regulators(g).edges == g.edges
+    assert _edges(grnmod.ensure_master_regulators(g)) == _edges(g)
 
 
 def test_ensure_master_regulators_promotes_lowest_in_degree():
     # Ring-free 4-node graph where every node has an incoming edge.
-    edges = [(0, 1, 1.0), (1, 2, 3.0), (2, 3, 1.0), (3, 0, 0.2)]
-    g = Grn(
-        genes=4,
-        edges=tuple(Edge(*e) for e in edges),
-        basal_rates={},
-        decay=np.full(4, 0.5),
-        group_assignment=np.zeros(4, dtype=int),
-    )
+    g = _manual_grn(4, [(0, 1, 1.0), (1, 2, 3.0), (2, 3, 1.0), (3, 0, 0.2)], {})
     g = grnmod.break_cycles(g)  # removes 3->0, leaving 1,2,3 with in-degree 1
     promoted = grnmod.ensure_master_regulators(g)
     assert promoted.master_regulators() == {0}
     in_deg = promoted.in_degree()
     assert in_deg[0] == 0
-    assert len(promoted.edges) == 3
+    assert promoted.targets.size == 3
 
 
 def test_ensure_master_regulators_requires_some_regulator():
-    g = Grn(
-        genes=3,
-        edges=(),
-        basal_rates={},
-        decay=np.full(3, 0.5),
-        group_assignment=np.zeros(3, dtype=int),
-    )
     with pytest.raises(InvalidArgumentError):
-        grnmod.ensure_master_regulators(g)
+        grnmod.ensure_master_regulators(_manual_grn(3, [], {}))
 
 
 def test_hill_half_saturation_identity():
@@ -192,6 +197,17 @@ def test_simulate_zero_noise_hits_fixed_point():
     cfg = SergioConfig(zeta=0.0)
     cells = grnmod.simulate_expression(g, cfg, 5, seed=0)
     assert np.allclose(cells, 4.0, atol=1e-3)
+
+
+def test_zero_noise_simulation_settles_at_half_responses():
+    # Each gene's half-response is its noise-free mean: with every regulator
+    # at its own threshold each Hill term is 1/2, whatever the coefficient.
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        g = grnmod.sample_simulation_ready_grn(GrnConfig(genes=12), rng)
+        cfg = SergioConfig(hill_gamma=float(rng.uniform(1.5, 2.5)), zeta=0.0, burn_in_steps=3000)
+        cells = grnmod.simulate_expression(g, cfg, 2, seed=0)
+        np.testing.assert_allclose(cells, np.tile(g.half_response, (2, 1)), rtol=1e-3)
 
 
 def test_simulate_deterministic_and_chunk_invariant():
@@ -246,9 +262,9 @@ def test_monotone_regulation_strengthening_activator():
 def test_knockout_removes_incident_edges_and_production():
     g = _manual_grn(3, [(0, 1, 2.0), (1, 2, 2.0)], {0: 1.0, 1: 0.5})
     ko = grnmod.knockout(g, 1)
-    assert all(e.regulator != 1 and e.target != 1 for e in ko.edges)
+    assert _edges(ko) == []
     assert ko.genes == 3
-    assert 1 not in ko.basal_rates and ko.basal_rates[0] == 1.0
+    assert ko.basal.tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(InvalidArgumentError):
         grnmod.knockout(g, 7)
 

@@ -145,10 +145,26 @@ def test_sinkhorn_kernel_that_left_the_float_range_raises():
         metrics._absorbed_sums(np.array([[0.0, 0.0], [1.0, 2.0]]), 0.1)
 
 
-@pytest.mark.parametrize("metric", [metrics.sinkhorn_divergence, metrics.mmd_rbf], ids=lambda f: f.__name__)
+TWO_SAMPLE_METRICS = [metrics.sinkhorn_divergence, metrics.mmd_rbf, metrics.rmse_means]
+
+
+@pytest.mark.parametrize("metric", TWO_SAMPLE_METRICS, ids=lambda f: f.__name__)
 def test_two_sample_metrics_reject_mismatched_gene_counts(metric):
     with pytest.raises(InvalidArgumentError, match="same genes"):
         metric(RNG.standard_normal((5, 3)), RNG.standard_normal((5, 2)))
+
+
+@pytest.mark.parametrize("metric", TWO_SAMPLE_METRICS, ids=lambda f: f.__name__)
+def test_two_sample_metrics_reject_an_empty_sample(metric):
+    for y, y_hat in ((np.zeros((0, 3)), np.ones((4, 3))), (np.ones((4, 3)), np.zeros((0, 3)))):
+        with pytest.raises(InvalidArgumentError, match="non-empty"):
+            metric(y, y_hat)
+
+
+@pytest.mark.parametrize("cells", [(1, 1), (1, 5), (5, 1)])
+def test_variance_correlation_needs_two_cells_per_sample(cells):
+    with pytest.raises(InvalidArgumentError, match="two cells"):
+        metrics.variance_correlation(RNG.standard_normal((cells[0], 3)), RNG.standard_normal((cells[1], 3)))
 
 
 # -- MMD ---------------------------------------------------------------------
