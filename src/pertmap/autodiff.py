@@ -26,6 +26,8 @@ Tensors keep numpy's promotion.
 from __future__ import annotations
 
 import contextlib
+import math
+import mmap
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -93,9 +95,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += grad
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self, seed: Optional[np.ndarray] = None) -> None:
         """Reverse-mode sweep from this tensor.
@@ -337,17 +336,38 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 class ParameterSet:
-    """Named tensors with deterministic (insertion) iteration order."""
+    """Named parameter tensors over two flat 1-D arrays, ``values`` and
+    ``grad``, in layout order: each tensor's ``data`` and ``grad`` are
+    reshaped views into them.
 
-    def __init__(self) -> None:
+    Write a parameter in place (``t.data[...] = x``); rebinding ``t.data``
+    detaches the tensor from ``values``, which then no longer holds what
+    the model computes with.  ``layout`` lists ``(name, shape, ...)``
+    entries, as ``model.parameter_layout`` does.  ``values`` is wrapped,
+    not copied; ``grad`` is left untouched until backward writes it, so a
+    set used only for inference costs no gradient memory.
+    """
+
+    def __init__(self, layout: Iterable[tuple], values: np.ndarray) -> None:
+        shapes = [(name, shape) for name, shape, *_ in layout]
+        size = sum(math.prod(shape) for _, shape in shapes)
+        if values.shape != (size,):
+            raise InvalidArgumentError(f"values of shape {values.shape} do not hold the layout's {size} values")
+        self.values = values
+        # Anonymous mmap pages read as zero and stay unresident until
+        # written.  np.zeros gives that only when the allocator maps the
+        # request, not when it reuses freed heap memory and must clear it.
+        self.grad = np.frombuffer(mmap.mmap(-1, max(values.nbytes, 1)), values.dtype, values.size)
         self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise InvalidArgumentError(f"duplicate parameter name: {name}")
-        t = Tensor(data, requires_grad=True)
-        self._params[name] = t
-        return t
+        offset = 0
+        for name, shape in shapes:
+            if name in self._params:
+                raise InvalidArgumentError(f"duplicate parameter name: {name}")
+            end = offset + math.prod(shape)
+            t = Tensor(values[offset:end].reshape(shape), requires_grad=True)
+            t.grad = self.grad[offset:end].reshape(shape)
+            self._params[name] = t
+            offset = end
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -368,32 +388,12 @@ class ParameterSet:
         return self._params.items()
 
     def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
-
-    def grads(self) -> dict[str, np.ndarray]:
-        """The accumulated gradient of every parameter; zeros where none flowed."""
-        return {
-            name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in self._params.items()
-        }
-
-    def num_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
-    def copy(self) -> "ParameterSet":
-        out = ParameterSet()
-        for name, t in self._params.items():
-            out.add(name, t.data.copy())
-        return out
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, t in self._params.items():
-            t.data = np.asarray(values[name], dtype=t.data.dtype).reshape(t.shape)
+        self.grad.fill(0)
 
 
-def grad(loss: Tensor, params: ParameterSet) -> dict[str, np.ndarray]:
-    """Gradient of a scalar loss with respect to every parameter.
+def grad(loss: Tensor, params: ParameterSet) -> np.ndarray:
+    """Gradient of a scalar loss with respect to every parameter, as a
+    flat copy of ``params.grad``.
 
     Clears existing grads first, so the result is exactly d(loss)/d(param).
     """
@@ -401,4 +401,4 @@ def grad(loss: Tensor, params: ParameterSet) -> dict[str, np.ndarray]:
         raise InvalidArgumentError("grad expects a scalar loss")
     params.zero_grads()
     loss.backward()
-    return params.grads()
+    return params.grad.copy()

@@ -13,8 +13,10 @@ little-endian float32 array.
   condition, and ``codes`` (K, d), its treatment code.
 - A checkpoint is one archive at any path.  Its header is ``{format,
   model_config, extra}``, ``model_config`` the fields of a ModelConfig and
-  ``extra`` a JSON object; it has one member per parameter tensor, named
-  and shaped as in ``parameter_layout``.
+  ``extra`` a JSON object.  Its one other member, ``params``, is the
+  model's flat parameter buffer (``ParameterSet.values``): a 1-D array of
+  ``num_values(model_config)`` values, the tensors of ``parameter_layout``
+  one after another, each in row-major order.
 
 zip stores a CRC-32 of every member, checked when the member is read, so a
 corrupted payload is rejected rather than loaded.  Readers raise
@@ -33,7 +35,7 @@ import numpy as np
 
 from .autodiff import ParameterSet
 from .errors import InvalidArgumentError
-from .model import ModelConfig, parameter_layout
+from .model import ModelConfig, num_values, parameter_layout
 
 _FORMAT = 2
 _FLOAT32 = np.dtype("<f4")
@@ -93,46 +95,38 @@ def read_archive(path: Path, header_types: dict[str, type]) -> tuple[dict[str, A
 
 def save_checkpoint(path: Path, params: ParameterSet, model_cfg: ModelConfig, extra: dict | None = None) -> None:
     header = {"model_config": asdict(model_cfg), "extra": extra or {}}
-    write_archive(path, header, {name: tensor.data for name, tensor in params.items()})
+    write_archive(path, header, {"params": params.values})
 
 
-def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
-    """Read a checkpoint: its float32 tensors, model configuration and extra.
+def load_checkpoint(path: Path) -> tuple[np.ndarray, ModelConfig, dict]:
+    """Read a checkpoint: its flat float32 parameter buffer, model
+    configuration and extra.
 
     Raises InvalidArgumentError when the file is not an archive as
     ``read_archive`` requires (an ``.npz`` file that passes the zip checks,
     member CRCs included, with a 0-d unicode JSON header of format 2 and
     only float32 members), when the header's ``model_config`` or ``extra``
     is missing or not an object, when ``model_config`` has a key that is
-    not a ModelConfig field or a value that is not an integer, or fails
-    ``ModelConfig.validate`` (a size below one, heads * head_dim not
-    embed_dim), or when the tensors' names and shapes are not exactly those
-    of ``parameter_layout``.  A missing file raises FileNotFoundError.
+    not a ModelConfig field or a value that is not an integer, or is not a
+    valid ModelConfig (a size below one, heads * head_dim not embed_dim),
+    or when the archive's members other than the header are not exactly
+    ``params`` of shape ``(num_values(model_config),)``.  A missing file
+    raises FileNotFoundError.
     """
-    header, values = read_archive(path, {"model_config": dict, "extra": dict})
+    header, members = read_archive(path, {"model_config": dict, "extra": dict})
     config, names = header["model_config"], {f.name for f in fields(ModelConfig)}
     bad = sorted(key for key, value in config.items() if key not in names or type(value) is not int)
     if bad:
         raise InvalidArgumentError(f"{path}: model_config entries {bad} are not integer ModelConfig fields")
     cfg = ModelConfig(**config)
-    cfg.validate()
-    if not _matches_layout(values, cfg):
-        raise InvalidArgumentError(f"{path}: tensors do not match the model configuration in its header")
+    if list(members) != ["params"]:
+        raise InvalidArgumentError(f"{path}: members {sorted(members)} besides the header are not exactly ['params']")
+    values, size = members["params"], num_values(cfg)
+    if values.shape != (size,):
+        raise InvalidArgumentError(f"{path}: params of shape {values.shape} do not hold the {size} values of its model")
     return values, cfg, header["extra"]
 
 
-def _matches_layout(values: dict[str, np.ndarray], cfg: ModelConfig) -> bool:
-    expected = {name: shape for name, shape, _ in parameter_layout(cfg)}
-    return {name: np.shape(v) for name, v in values.items()} == expected
-
-
-def restore_params(values: dict[str, np.ndarray], model_cfg: ModelConfig) -> ParameterSet:
-    """A float32 ParameterSet holding the checkpoint's tensor values, in
-    parameter order."""
-    model_cfg.validate()
-    if not _matches_layout(values, model_cfg):
-        raise InvalidArgumentError("checkpoint parameters do not match the model configuration")
-    params = ParameterSet()
-    for name, _, _ in parameter_layout(model_cfg):
-        params.add(name, np.asarray(values[name], dtype=np.float32))
-    return params
+def restore_params(values: np.ndarray, model_cfg: ModelConfig) -> ParameterSet:
+    """A float32 ParameterSet wrapping a checkpoint's flat parameter buffer."""
+    return ParameterSet(parameter_layout(model_cfg), np.asarray(values, dtype=np.float32))

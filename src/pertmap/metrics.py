@@ -164,10 +164,10 @@ def _entropic_ot_value(cost: np.ndarray, epsilon: float, max_iters: int, tol: fl
 
 def _two_samples(y: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both samples as float (cells, genes) arrays; raises unless each has a
-    cell and both have the same genes."""
+    cell and a gene and both have the same genes."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
-    if y.shape[0] < 1 or y_hat.shape[0] < 1 or y.shape[1:] != y_hat.shape[1:]:
+    if y.size == 0 or y_hat.size == 0 or y.shape[1:] != y_hat.shape[1:]:
         raise InvalidArgumentError(f"samples must be non-empty over the same genes: {y.shape}, {y_hat.shape}")
     return y, y_hat
 
@@ -330,13 +330,6 @@ def deg_scores(
     """Ranking scores |log2 fold-change| gated by predicted significance."""
     stats = deg_stats(y_obs, y_hat)
     return np.abs(stats.log2_fold_change) * (stats.neglog10_p > cfg.deg_tau_p)
-
-
-def target_only_scores(d: int, target: int) -> np.ndarray:
-    """Baseline score vector: positive only at the perturbed gene."""
-    scores = np.zeros(d)
-    scores[target] = 1.0
-    return scores
 
 
 @dataclass(frozen=True)

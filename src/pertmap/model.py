@@ -20,6 +20,7 @@ context stream of SD3's last MM-DiT block, Esser et al. 2024).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -51,7 +52,7 @@ class ModelConfig:
         # Width of the time embedding feeding the FiLM projections.
         return 2 * self.embed_dim
 
-    def validate(self) -> None:
+    def __post_init__(self):
         low = [f.name for f in fields(self) if getattr(self, f.name) < (0 if f.name == "register_tokens" else 1)]
         if low:
             raise InvalidArgumentError(f"model sizes {low} must be at least 1 (register_tokens at least 0)")
@@ -147,16 +148,19 @@ def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float
     return layout
 
 
+def num_values(cfg: ModelConfig) -> int:
+    """The number of learnable values, the length of a ParameterSet's buffer."""
+    return sum(math.prod(shape) for _, shape, _ in parameter_layout(cfg))
+
+
 def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
     """Allocate and initialize all learnable tensors, deterministically."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
-    params = ParameterSet()
-    for name, shape, scale in parameter_layout(cfg):
+    layout = parameter_layout(cfg)
+    params = ParameterSet(layout, np.zeros(num_values(cfg), dtype=dtype))
+    for name, shape, scale in layout:
         if scale:
-            params.add(name, (rng.standard_normal(shape) * scale).astype(dtype))
-        else:
-            params.add(name, np.zeros(shape, dtype=dtype))
+            params[name].data[...] = rng.standard_normal(shape) * scale
     return params
 
 
@@ -181,7 +185,6 @@ def forward(
 ) -> Tensor:
     """Velocity prediction for the M query cells ``y_tau`` (M, d) noised to
     time ``tau``, shape (M, d)."""
-    cfg.validate()
     d = cfg.max_genes
     if y_tau.ndim != 2 or y_tau.shape[1] != d:
         raise InvalidArgumentError(f"query shape {y_tau.shape} does not match gene count {d}")

@@ -192,15 +192,6 @@ def encode_treatment(iv: Intervention, d: int) -> np.ndarray:
     return code
 
 
-def decode_treatment(code: np.ndarray) -> Intervention:
-    """Recover (target, value) from a treatment code; all-zero codes are invalid."""
-    nonzero = np.flatnonzero(code)
-    if nonzero.size != 1:
-        raise InvalidArgumentError("treatment code must have exactly one nonzero entry")
-    target = int(nonzero[0])
-    return Intervention(target=target, value=float(code[target]))
-
-
 def descendants(scm: WeightedDag, node: int) -> set[int]:
     """Nodes reachable from ``node`` along directed edges (excluding itself)."""
     adj = np.abs(scm.weights) > 0  # adj[k, j]: edge j -> k

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 from .errors import InvalidArgumentError, NumericalFailureError
-from .model import ExperimentBundle, ModelConfig, build_model, forward
+from .model import ExperimentBundle, ModelConfig, build_model, forward, parameter_layout
 from .ode import integrate_dopri5
 
 
@@ -116,36 +116,47 @@ def cfm_loss(
     return (diff * diff).mean()
 
 
+# AdamW and the EMA walk the flat parameter arrays in slices of this many
+# values, so their temporaries stay small at any model width.
+BLOCK_VALUES = 1 << 16
+
+
+def _blocks(size: int) -> Iterator[slice]:
+    return (slice(lo, lo + BLOCK_VALUES) for lo in range(0, size, BLOCK_VALUES))
+
+
 class AdamW:
-    """Decoupled weight decay Adam over a ParameterSet."""
+    """Decoupled weight decay Adam over a ParameterSet's flat arrays."""
 
     def __init__(self, params: ParameterSet):
         self.params = params
         self.t = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._m = np.zeros(params.values.shape, params.values.dtype)
+        self._v = np.zeros(params.values.shape, params.values.dtype)
 
-    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, lr: float) -> None:
+        """One update of ``params.values`` from the gradient in ``params.grad``."""
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self._m[name]
-            v = self._v[name]
+        for block in _blocks(self.params.values.size):
+            theta = self.params.values[block]
+            g = self.params.grad[block]
+            m = self._m[block]
+            v = self._v[block]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
             update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-            p.data = p.data - lr * (update + WEIGHT_DECAY * p.data)
+            theta -= lr * (update + WEIGHT_DECAY * theta)
 
 
-def ema_update(ema: dict[str, np.ndarray], params: ParameterSet, decay: float) -> None:
-    """In place: ema <- decay * ema + (1 - decay) * theta."""
-    for name, p in params.items():
-        ema[name] *= decay
-        ema[name] += (1.0 - decay) * p.data
+def ema_update(ema: np.ndarray, values: np.ndarray, decay: float) -> None:
+    """In place: ema <- decay * ema + (1 - decay) * values, over flat arrays."""
+    for block in _blocks(ema.size):
+        ema[block] *= decay
+        ema[block] += (1.0 - decay) * values[block]
 
 
 def train(
@@ -163,7 +174,7 @@ def train(
     params = build_model(model_cfg, train_cfg.seed)
     rng = np.random.default_rng(train_cfg.seed)
     optimizer = AdamW(params)
-    ema = {name: p.data.copy() for name, p in params.items()}
+    ema = params.values.copy()
     trace: list[tuple[int, float, float]] = []
 
     for step in range(1, train_cfg.total_steps + 1):
@@ -181,13 +192,11 @@ def train(
         if not math.isfinite(batch_loss):
             raise NumericalFailureError(f"non-finite loss at step {step}")
         lr = wsd_lr(step, train_cfg)
-        optimizer.step(params.grads(), lr)
-        ema_update(ema, params, train_cfg.ema_decay)
+        optimizer.step(lr)
+        ema_update(ema, params.values, train_cfg.ema_decay)
         trace.append((step, batch_loss, lr))
 
-    ema_params = params.copy()
-    ema_params.load_values(ema)
-    return TrainResult(params=params, ema_params=ema_params, trace=trace)
+    return TrainResult(params=params, ema_params=ParameterSet(parameter_layout(model_cfg), ema), trace=trace)
 
 
 def guided_field(

@@ -111,26 +111,44 @@ def test_forward_is_pure_and_deterministic():
 
 
 def test_parameter_set_order_and_uniqueness():
-    ps = ParameterSet()
-    ps.add("b", np.zeros(2))
-    ps.add("a", np.ones(3))
+    ps = ParameterSet([("b", (2,)), ("a", (3,))], np.arange(5.0))
     assert ps.names() == ["b", "a"]
-    assert ps.num_values() == 5
-    with pytest.raises(InvalidArgumentError):
-        ps.add("a", np.zeros(1))
+    assert np.array_equal(ps["b"].data, [0.0, 1.0]) and np.array_equal(ps["a"].data, [2.0, 3.0, 4.0])
+    with pytest.raises(InvalidArgumentError, match="duplicate"):
+        ParameterSet([("a", (1,)), ("a", (1,))], np.zeros(2))
+
+
+@pytest.mark.parametrize("values", [np.zeros(5), np.zeros(7), np.zeros((2, 3))], ids=["short", "long", "2-d"])
+def test_parameter_set_rejects_values_that_do_not_fit_the_layout(values):
+    with pytest.raises(InvalidArgumentError, match="values"):
+        ParameterSet([("w", (2, 3))], values)
+
+
+def test_parameter_tensors_are_views_of_the_flat_arrays():
+    ps = ParameterSet([("w", (1, 2)), ("b", (2,))], np.array([1.0, 2.0, 0.5, -0.5]))
+    w, b = ps["w"], ps["b"]
+    assert np.shares_memory(w.data, ps.values) and np.shares_memory(b.data, ps.values)
+    assert np.shares_memory(w.grad, ps.grad) and np.shares_memory(b.grad, ps.grad)
+    w.data[0, 1] = 3.0
+    assert ps.values[1] == 3.0
+    x = Tensor(np.array([[3.0], [4.0]]))
+    for _ in range(2):  # gradients accumulate across backward calls
+        (w @ x + b).sum().backward()
+    assert np.array_equal(ps.grad, [12.0, 16.0, 2.0, 2.0])
+    assert np.array_equal(w.grad, [[12.0, 16.0]])
+    ps.zero_grads()
+    assert not np.any(ps.grad) and not np.any(b.grad)
 
 
 def test_grad_collects_over_parameter_set():
-    ps = ParameterSet()
-    w = ps.add("w", np.array([[1.0, 2.0]]))
+    ps = ParameterSet([("w", (1, 2))], np.array([1.0, 2.0]))
     x = Tensor(np.array([[3.0], [4.0]]))
-    loss = (w @ x).sum()
-    grads = ad.grad(loss, ps)
-    assert np.allclose(grads["w"], [[3.0, 4.0]])
+    loss = (ps["w"] @ x).sum()
+    assert np.array_equal(ad.grad(loss, ps), [3.0, 4.0])
+    assert np.array_equal(ad.grad(loss, ps), [3.0, 4.0])  # cleared, not accumulated
 
 
 def test_grad_rejects_non_scalar_loss():
-    ps = ParameterSet()
-    w = ps.add("w", np.ones(3))
+    ps = ParameterSet([("w", (3,))], np.ones(3))
     with pytest.raises(InvalidArgumentError):
-        ad.grad(w * 2.0, ps)
+        ad.grad(ps["w"] * 2.0, ps)

@@ -52,7 +52,7 @@ def _toy_checkpoint(path, cfg=None):
     params = build_model(cfg, seed=4)
     rng = np.random.default_rng(9)
     for _, t in params.items():  # no zero-initialized tensors left
-        t.data = t.data + rng.standard_normal(t.shape).astype(np.float32)
+        t.data[...] += rng.standard_normal(t.shape).astype(np.float32)
     dataio.save_checkpoint(path, params, cfg, extra={"step": 7})
     return params, cfg
 
@@ -60,13 +60,27 @@ def _toy_checkpoint(path, cfg=None):
 def test_checkpoint_round_trip_through_restore_params_is_exact(tmp_path):
     params, cfg = _toy_checkpoint(tmp_path / "model.ckpt")
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    with zipfile.ZipFile(tmp_path / "model.ckpt") as archive:
+        assert archive.namelist() == ["header.npy", "params.npy"]
     values, loaded_cfg, extra = dataio.load_checkpoint(tmp_path / "model.ckpt")
     restored = dataio.restore_params(values, loaded_cfg)
     assert loaded_cfg == cfg and extra == {"step": 7}
     assert restored.names() == params.names()
+    assert restored.values.dtype == np.float32 and np.array_equal(restored.values, params.values)
     for name, t in params.items():
         assert restored[name].data.dtype == t.data.dtype
         assert np.array_equal(restored[name].data, t.data)
+
+
+def test_checkpoint_with_one_member_per_tensor_is_rejected(tmp_path):
+    # The layout written before the parameters were held in one buffer.
+    path = tmp_path / "model.ckpt"
+    cfg = toy_config(max_genes=3, max_context=2)
+    params = build_model(cfg, seed=4)
+    header = {"model_config": dataclasses.asdict(cfg), "extra": {}}
+    dataio.write_archive(path, header, {name: t.data for name, t in params.items()})
+    with pytest.raises(InvalidArgumentError, match="params"):
+        dataio.load_checkpoint(path)
 
 
 def _edit_header(edit):
@@ -148,20 +162,18 @@ def test_checkpoint_header_that_is_not_utf8_is_rejected(tmp_path):
 
 def test_checkpoint_tensor_name_that_is_not_utf8_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    params, _ = _toy_checkpoint(path)
-    first = next(iter(params.names())).encode()
+    _toy_checkpoint(path)
     buf = path.read_bytes()
-    assert buf.count(first + b".npy") == 2  # its local header and the central directory
-    path.write_bytes(buf.replace(first + b".npy", b"\xff" + first[1:] + b".npy"))
+    assert buf.count(b"params.npy") == 2  # its local header and the central directory
+    path.write_bytes(buf.replace(b"params.npy", b"\xffarams.npy"))
     with pytest.raises(InvalidArgumentError):
         dataio.load_checkpoint(path)
 
 
 def test_checkpoint_tensor_that_is_not_float32_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    params, _ = _toy_checkpoint(path)
-    name = next(iter(params.names()))
-    edit_archive(path, lambda members: members.update({name: members[name].astype(np.float64)}))
+    _toy_checkpoint(path)
+    edit_archive(path, lambda members: members.update(params=members["params"].astype(np.float64)))
     with pytest.raises(InvalidArgumentError, match="float32"):
         dataio.load_checkpoint(path)
 
@@ -176,13 +188,24 @@ def test_checkpoint_header_with_inconsistent_heads_is_rejected(tmp_path):
 
 def test_checkpoint_with_a_missing_or_extra_tensor_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    params, _ = _toy_checkpoint(path)
-    name = next(iter(params.names()))
-    for edit in (lambda m: m.pop(name), lambda m: m.update({name: m[name], "spare": m[name]})):
+    for edit in (lambda m: m.pop("params"), lambda m: m.update(spare=m["params"])):
         _toy_checkpoint(path)
         edit_archive(path, edit)
-        with pytest.raises(InvalidArgumentError, match="tensors"):
+        with pytest.raises(InvalidArgumentError, match="members"):
             dataio.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda p: p[:-1], lambda p: np.append(p, p[:1]), lambda p: p.reshape(1, -1)],
+    ids=["short", "long", "2-d"],
+)
+def test_checkpoint_params_of_the_wrong_shape_are_rejected(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    _toy_checkpoint(path)
+    edit_archive(path, lambda members: members.update(params=edit(members["params"])))
+    with pytest.raises(InvalidArgumentError, match="shape"):
+        dataio.load_checkpoint(path)
 
 
 def test_restore_params_rejects_inconsistent_heads(tmp_path):
@@ -197,16 +220,15 @@ def test_restore_params_rejects_a_wrong_shape(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
     values, cfg, _ = dataio.load_checkpoint(path)
-    name = next(iter(values))
-    values[name] = values[name][..., :-1]
     with pytest.raises(InvalidArgumentError):
-        dataio.restore_params(values, cfg)
+        dataio.restore_params(values[:-1], cfg)
 
 
 def _member_offsets(path) -> list[int]:
-    """File offset of each member's local header, in archive order."""
+    """File offset of each member's local header, in archive order, then
+    of the central directory that follows the last member."""
     with zipfile.ZipFile(path) as archive:
-        return [info.header_offset for info in archive.infolist()]
+        return [info.header_offset for info in archive.infolist()] + [archive.start_dir]
 
 
 def test_checkpoint_cut_at_end_of_header_is_rejected(tmp_path):
@@ -224,18 +246,17 @@ def test_checkpoint_cut_at_tensor_boundary_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
     buf = path.read_bytes()
-    offsets = _member_offsets(path)
-    for cut in (offsets[2], offsets[-1]):
-        path.write_bytes(buf[:cut])
-        with pytest.raises(InvalidArgumentError):
-            dataio.load_checkpoint(path)
+    path.write_bytes(buf[: _member_offsets(path)[-1]])  # after the params member
+    with pytest.raises(InvalidArgumentError):
+        dataio.load_checkpoint(path)
 
 
 def test_checkpoint_cut_inside_a_tensor_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     _toy_checkpoint(path)
     buf = path.read_bytes()
-    path.write_bytes(buf[: _member_offsets(path)[-1] - 2])
+    start, end = _member_offsets(path)[1:]
+    path.write_bytes(buf[: (start + end) // 2])
     with pytest.raises(InvalidArgumentError):
         dataio.load_checkpoint(path)
 
@@ -269,8 +290,8 @@ def _contents(loaded):
         arrays.update({("int", *key): a for key, a in loaded.interventional.items()})
         arrays.update({("code", *key): a for key, a in loaded.treatment_codes.items()})
     else:
-        arrays, cfg, extra = loaded
-        meta = (cfg, extra)
+        values, cfg, extra = loaded
+        arrays, meta = {"params": values}, (cfg, extra)
     return meta, {key: (a.dtype.str, a.shape, a.tobytes()) for key, a in arrays.items()}
 
 
@@ -278,7 +299,7 @@ def _contents(loaded):
 def test_flipped_payload_byte_is_rejected(tmp_path, kind):
     load = _save(kind, tmp_path)
     loaded = load()
-    first = loaded.observational[0] if kind == "dataset" else next(iter(loaded[0].values()))
+    first = loaded.observational[0] if kind == "dataset" else loaded[0]
     payload = first.astype("<f4").tobytes()
     (path,) = [p for p in tmp_path.iterdir() if payload in p.read_bytes()]
     buf = bytearray(path.read_bytes())

@@ -161,6 +161,13 @@ def test_two_sample_metrics_reject_an_empty_sample(metric):
             metric(y, y_hat)
 
 
+@pytest.mark.parametrize("metric", TWO_SAMPLE_METRICS, ids=lambda f: f.__name__)
+def test_two_sample_metrics_reject_zero_gene_samples(metric):
+    # Without the check rmse_means returned NaN and the others 0.0.
+    with pytest.raises(InvalidArgumentError, match="non-empty"):
+        metric(np.zeros((3, 0)), np.zeros((3, 0)))
+
+
 @pytest.mark.parametrize("cells", [(1, 1), (1, 5), (5, 1)])
 def test_variance_correlation_needs_two_cells_per_sample(cells):
     with pytest.raises(InvalidArgumentError, match="two cells"):
@@ -414,7 +421,3 @@ def test_auprc_requires_positive_labels():
     with pytest.raises(UndefinedMetricError):
         metrics.auprc_curve(np.ones(4), np.zeros(4))
 
-
-def test_target_only_scores():
-    s = metrics.target_only_scores(5, 3)
-    assert np.array_equal(s, np.array([0.0, 0.0, 0.0, 1.0, 0.0]))

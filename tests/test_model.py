@@ -57,7 +57,7 @@ def _random_model(cfg: ModelConfig, seed: int, scale: float = 0.1):
     params = mdl.build_model(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     for _, t in params.items():
-        t.data = (rng.standard_normal(t.shape) * scale).astype(t.data.dtype)
+        t.data[...] = (rng.standard_normal(t.shape) * scale).astype(t.data.dtype)
     return params
 
 
@@ -71,7 +71,7 @@ def _assert_close(out: np.ndarray, other: np.ndarray, rtol: float = 1e-5) -> Non
 def test_toy_parameter_count_matches_closed_form():
     cfg = mdl.toy_config()
     params = mdl.build_model(cfg, seed=0)
-    assert params.num_values() == closed_form_param_count(cfg)
+    assert mdl.num_values(cfg) == params.values.size == closed_form_param_count(cfg)
     assert closed_form_param_count(cfg) == 350_406
 
 
@@ -80,7 +80,7 @@ def test_paper_profile_parameter_count_near_25m():
     count = closed_form_param_count(cfg)
     assert abs(count - 25e6) / 25e6 < 0.20
     params = mdl.build_model(cfg, seed=0)
-    assert params.num_values() == count
+    assert mdl.num_values(cfg) == params.values.size == count
 
 
 def test_build_model_deterministic():
@@ -262,11 +262,8 @@ def test_forward_rejects_arrays_of_the_wrong_rank():
     ids=lambda sizes: ",".join(sizes),
 )
 def test_model_config_rejects_sizes_below_one(sizes):
-    cfg = dataclasses.replace(mdl.toy_config(), **sizes)
     with pytest.raises(InvalidArgumentError, match="at least"):
-        cfg.validate()
-    with pytest.raises(InvalidArgumentError, match="at least"):
-        mdl.build_model(cfg, 0)
+        dataclasses.replace(mdl.toy_config(), **sizes)
 
 
 def test_model_config_accepts_no_register_tokens():
@@ -336,7 +333,7 @@ def test_every_parameter_gets_a_gradient():
     params = _random_model(cfg, seed=13)
     bundle, y0 = _training_case(cfg, 13)
     tr.cfm_loss(params, cfg, bundle, 0.4, y0).backward()
-    assert [name for name, g in params.grads().items() if not np.any(g)] == []
+    assert [name for name, t in params.items() if not np.any(t.grad)] == []
 
 
 def test_dropped_condition_trains_the_null_row():

@@ -80,7 +80,7 @@ def test_cfm_loss_zero_for_exact_stub():
         query_code=np.eye(4)[0],
         target=target,
     )
-    params["out.b"].data = (target - y0)[0].astype(np.float32)
+    params["out.b"].data[...] = (target - y0)[0]
     loss = tr.cfm_loss(params, MICRO_CFG, bundle, tau=0.4, y0=y0)
     assert float(loss.data) == pytest.approx(0.0, abs=1e-10)
 
@@ -89,7 +89,7 @@ def test_cfm_loss_single_entry_arithmetic():
     cfg = ModelConfig(layers=1, embed_dim=8, ff_dim=16, heads=1, head_dim=8,
                       register_tokens=1, max_genes=1, max_context=1)
     params = mdl.build_model(cfg, seed=0)
-    params["out.b"].data = np.array([1.0], dtype=np.float32)  # model outputs 1
+    params["out.b"].data[...] = 1.0  # model outputs 1
     bundle = ExperimentBundle(
         y_obs=np.zeros((3, 1)),
         context=(),
@@ -166,7 +166,7 @@ def test_cfm_loss_tape_runs_in_the_parameters_dtype(dtype):
                 stack.append(parent)
     assert {t.dtype for t in tape.values()} == {np.dtype(dtype)}
     loss.backward()
-    assert {g.dtype for g in params.grads().values()} == {np.dtype(dtype)}
+    assert params.grad.dtype == np.dtype(dtype)
 
 
 def test_cfm_loss_backward_returns_gradients_only_for_parents_on_the_tape():
@@ -197,40 +197,76 @@ def test_cfm_loss_backward_returns_gradients_only_for_parents_on_the_tape():
 def test_adamw_matches_reference_update():
     params = mdl.build_model(MICRO_CFG, seed=0)
     name = "out.b"
-    params[name].data = np.full(4, 2.0, dtype=np.float32)
+    params[name].data[...] = 2.0
     opt = tr.AdamW(params)
-    g = np.full(4, 0.5, dtype=np.float32)
-    grads = {n: np.zeros_like(p.data) for n, p in params.items()}
-    grads[name] = g
-    opt.step(grads, lr=1e-3)
+    params[name].grad[...] = 0.5
+    opt.step(lr=1e-3)
     # Reference: bias-corrected first step has m_hat = g, v_hat = g^2.
     expected = 2.0 - 1e-3 * (0.5 / (0.5 + tr.ADAM_EPS) + 0.01 * 2.0)
     assert np.allclose(params[name].data, expected, rtol=1e-6)
 
 
-class _FakeParams:
-    """Single scalar parameter held at 1.0."""
-
-    def items(self):
-        class One:
-            data = np.ones(1)
-
-        return [("w", One())]
-
-
 def test_ema_single_update_arithmetic():
     # Scalar view: ema 0, theta 1, decay 0.999 -> 0.001.
-    ema = {"w": np.zeros(1)}
-    tr.ema_update(ema, _FakeParams(), 0.999)
-    assert ema["w"][0] == pytest.approx(0.001)
+    ema = np.zeros(1)
+    tr.ema_update(ema, np.ones(1), 0.999)
+    assert ema[0] == pytest.approx(0.001)
 
 
 def test_ema_converges_to_constant_parameters():
-    ema = {"w": np.zeros(1)}
-    fake = _FakeParams()
+    ema = np.zeros(1)
     for _ in range(10_000):
-        tr.ema_update(ema, fake, 0.999)
-    assert abs(ema["w"][0] - 1.0) < 1e-4
+        tr.ema_update(ema, np.ones(1), 0.999)
+    assert abs(ema[0] - 1.0) < 1e-4
+
+
+def _per_tensor_train(model_cfg, train_cfg, bundle_stream):
+    """The training loop with AdamW and the EMA applied tensor by tensor,
+    each parameter and moment in its own array: the reference for the
+    blockwise updates of the flat buffers."""
+    params = mdl.build_model(model_cfg, train_cfg.seed)
+    theta = {name: t.data.copy() for name, t in params.items()}
+    m = {name: np.zeros_like(a) for name, a in theta.items()}
+    v = {name: np.zeros_like(a) for name, a in theta.items()}
+    ema = {name: a.copy() for name, a in theta.items()}
+    rng = np.random.default_rng(train_cfg.seed)
+    for step in range(1, train_cfg.total_steps + 1):
+        for name, a in theta.items():
+            params[name].data[...] = a
+        params.zero_grads()
+        for _ in range(train_cfg.batch_size):
+            bundle = next(bundle_stream)
+            tau = tr.sample_time(rng)
+            y0 = rng.standard_normal(bundle.target.shape)
+            drop = rng.random() < tr.CONDITION_DROP_PROB
+            tr.cfm_loss(params, model_cfg, bundle, tau, y0, drop).backward(seed=1.0 / train_cfg.batch_size)
+        lr = tr.wsd_lr(step, train_cfg)
+        bias1 = 1.0 - tr.ADAM_BETA1**step
+        bias2 = 1.0 - tr.ADAM_BETA2**step
+        for name, p in theta.items():
+            g = params[name].grad
+            m[name] *= tr.ADAM_BETA1
+            m[name] += (1.0 - tr.ADAM_BETA1) * g
+            v[name] *= tr.ADAM_BETA2
+            v[name] += (1.0 - tr.ADAM_BETA2) * g * g
+            update = (m[name] / bias1) / (np.sqrt(v[name] / bias2) + tr.ADAM_EPS)
+            theta[name] = p - lr * (update + tr.WEIGHT_DECAY * p)
+            ema[name] *= train_cfg.ema_decay
+            ema[name] += (1.0 - train_cfg.ema_decay) * theta[name]
+    return theta, ema
+
+
+def test_train_matches_the_per_tensor_updates_bit_for_bit(monkeypatch):
+    # A block size that splits tensors and leaves a short last block.
+    monkeypatch.setattr(tr, "BLOCK_VALUES", 1000)
+    cfg = tr.TrainConfig(total_steps=4, batch_size=2, seed=5, peak_lr=5e-3, ema_decay=0.9)
+    result = tr.train(MICRO_CFG, cfg, _bundle_stream(23))
+    theta, ema = _per_tensor_train(MICRO_CFG, cfg, _bundle_stream(23))
+    assert result.params.values.size % tr.BLOCK_VALUES != 0
+    for name in result.params:
+        assert np.array_equal(result.params[name].data, theta[name]), name
+        assert np.array_equal(result.ema_params[name].data, ema[name]), name
+    assert not np.array_equal(result.params.values, result.ema_params.values)
 
 
 def _learnable_stream(seed, d=4):
@@ -276,7 +312,7 @@ def test_generate_zero_velocity_returns_base_noise():
 def test_generate_constant_field_integrates_exactly():
     params = mdl.build_model(MICRO_CFG, seed=1)
     c = np.array([0.5, -1.0, 2.0, 0.25], dtype=np.float32)
-    params["out.b"].data = c  # velocity field is identically c
+    params["out.b"].data[...] = c  # velocity field is identically c
     bundle = _micro_bundle(np.random.default_rng(6), with_target=False)
     out = tr.generate(params, MICRO_CFG, bundle, tr.GuidanceConfig(), m=4, seed=7)
     y0 = np.random.default_rng(7).standard_normal((4, 4))
@@ -297,7 +333,7 @@ def test_guidance_formula_at_omega_two():
     params = mdl.build_model(MICRO_CFG, seed=2)
     # Give the model a nonzero readout so conditional and unconditional differ.
     rng = np.random.default_rng(9)
-    params["out.w"].data = (rng.standard_normal(params["out.w"].shape) * 0.1).astype(np.float32)
+    params["out.w"].data[...] = rng.standard_normal(params["out.w"].shape) * 0.1
     bundle = _micro_bundle(rng, with_target=False)
     y = rng.standard_normal((3, 4))
     noised = (y.astype(np.float32), 0.6)
