@@ -375,14 +375,8 @@ class ParameterSet:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._params.items()
@@ -390,15 +384,3 @@ class ParameterSet:
     def zero_grads(self) -> None:
         self.grad.fill(0)
 
-
-def grad(loss: Tensor, params: ParameterSet) -> np.ndarray:
-    """Gradient of a scalar loss with respect to every parameter, as a
-    flat copy of ``params.grad``.
-
-    Clears existing grads first, so the result is exactly d(loss)/d(param).
-    """
-    if loss.data.size != 1:
-        raise InvalidArgumentError("grad expects a scalar loss")
-    params.zero_grads()
-    loss.backward()
-    return params.grad.copy()

@@ -7,9 +7,12 @@ set of edge arrays (regulator, target and signed strength of each edge, in
 sampling order) and per-gene arrays (basal production, decay and
 half-response); each gene's half-response is its noise-free mean.
 Expression is the steady state of a chemical Langevin equation with
-Hill-function regulation, integrated per cell by Euler-Maruyama; a
-10x-style technical noise chain (outlier genes, library size, dropout, UMI
-Poisson) turns clean expression into integer counts.
+Hill-function regulation, integrated per cell by Euler-Maruyama.  A
+repressor's term |s|(1 - h) equals |s| + s h, so production is affine in
+the vector h of Hill values: basal rates plus repressor strengths, plus h
+times the (genes x genes) matrix of signed strengths.  A 10x-style
+technical noise chain (outlier genes, library size, dropout, UMI Poisson)
+turns clean expression into integer counts.
 
 Every simulation is a pure function of (network, config, seed); per-cell
 noise streams are derived from (seed, cell index), so chunked or parallel
@@ -50,6 +53,8 @@ class GrnConfig:
             raise InvalidArgumentError("k_groups must be >= 1")
         if self.p_sparsity < 0:
             raise InvalidArgumentError("p_sparsity must be non-negative")
+        if min(self.delta_in, self.delta_out, self.w_modularity) <= 0:
+            raise InvalidArgumentError("delta_in, delta_out and w_modularity must be positive")
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,12 @@ class SergioConfig:
     xi_dropout: float = 60.0  # logistic slope
 
     def __post_init__(self):
+        if self.hill_gamma <= 0:
+            raise InvalidArgumentError("hill_gamma must be positive")
         if self.dt <= 0:
             raise InvalidArgumentError("dt must be positive")
+        if self.sigma_lib < 0:
+            raise InvalidArgumentError("sigma_lib must be non-negative")
         if self.burn_in_steps < 1:
             raise InvalidArgumentError("burn_in_steps must be >= 1")
 
@@ -78,8 +87,8 @@ class Grn:
 
     Edge e runs from ``regulators[e]`` to ``targets[e]`` with signed
     ``strengths[e]`` (positive activates); these (E,) arrays are in
-    sampling order, the order in which production sums.  The (genes,)
-    arrays hold the ``basal`` production rate (0 where a gene is
+    sampling order, the order in which a gene's incoming terms sum.  The
+    (genes,) arrays hold the ``basal`` production rate (0 where a gene is
     regulated), the ``decay`` rate lambda, the module in
     ``group_assignment`` and the ``half_response``: the gene's noise-free
     mean, floored at 1e-6, and the Hill threshold of its outgoing edges.
@@ -115,9 +124,6 @@ class Grn:
         edges = zip(self.regulators.tolist(), self.targets.tolist(), self.strengths.tolist())
         g.add_weighted_edges_from(edges, weight="strength")
         return g
-
-    def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.to_digraph())
 
 
 def sample_grn_config(genes: int, rng: np.random.Generator) -> GrnConfig:
@@ -274,9 +280,10 @@ def assign_half_responses(grn: Grn) -> Grn:
     return replace(grn, half_response=np.maximum(production / grn.decay, _HALF_RESPONSE_FLOOR))
 
 
-def _hill(x, h, gamma):
-    xg = np.maximum(x, 0.0) ** gamma
-    return xg / (h**gamma + xg)
+def _hill(x, threshold, gamma):
+    """x^gamma / (threshold + x^gamma) for x >= 0; ``threshold`` is h^gamma."""
+    xg = x**gamma
+    return xg / (threshold + xg)
 
 
 def knockout(grn: Grn, gene: int) -> Grn:
@@ -299,28 +306,36 @@ def simulate_expression(
 
     Integrates dx = (P(x) - lambda*x) dt + zeta*(sqrt(P) dW1 - sqrt(lambda*x) dW2)
     by Euler-Maruyama with clamping at zero, and records the state after the
-    burn-in as the cell's expression.  Production sums Hill terms of the
-    regulators (activators rise with x, repressors fall) plus basal rates.
+    burn-in as the cell's expression.  Production is basal plus one Hill
+    term per edge: s*h(x_r) for an activator, |s|*(1 - h(x_r)) = |s| + s*h(x_r)
+    for a repressor.  So P(x) = base + h(x) @ signed, where signed[r, t]
+    sums the signed strengths of the edges r -> t and base adds to each
+    gene's basal rate the |s| of its repressing edges.
+
+    The network's half-responses must all be positive, as
+    :func:`assign_half_responses` makes them.
     """
     if n_cells < 1:
         raise InvalidArgumentError("n_cells must be >= 1")
-    # Row e adds edge e's term to its target; the product sums in edge order.
-    scatter = np.zeros((grn.targets.size, grn.genes))
-    scatter[np.arange(grn.targets.size), grn.targets] = 1.0
+    if not np.all(grn.half_response > 0):
+        raise InvalidArgumentError("half-responses must be positive; see assign_half_responses")
+    signed = np.zeros((grn.genes, grn.genes))
+    np.add.at(signed, (grn.regulators, grn.targets), grn.strengths)
+    base = grn.basal.copy()
+    np.add.at(base, grn.targets, np.maximum(-grn.strengths, 0.0))
+    threshold = grn.half_response**cfg.hill_gamma
     out = np.empty((n_cells, grn.genes))
     for start in range(0, n_cells, _CELL_BLOCK):
         stop = min(start + _CELL_BLOCK, n_cells)
-        out[start:stop] = _simulate_block(grn, cfg, range(start, stop), seed, scatter)
+        out[start:stop] = _simulate_block(grn, cfg, range(start, stop), seed, base, signed, threshold)
     return out
 
 
-def _simulate_block(grn, cfg, cells, seed, scatter):
+def _simulate_block(grn, cfg, cells, seed, base, signed, threshold):
     block = len(cells)
     rngs = [np.random.default_rng(mix_seed(seed, c)) for c in cells]
     x = np.zeros((block, grn.genes))
     sqrt_dt = math.sqrt(cfg.dt)
-    weights = np.abs(grn.strengths)
-    activates = grn.strengths > 0
     # One buffer, refilled per chunk: row i holds cell i's draws.
     buffer = np.empty((block, min(_STEP_CHUNK, cfg.burn_in_steps), 2, grn.genes))
 
@@ -333,9 +348,7 @@ def _simulate_block(grn, cfg, cells, seed, scatter):
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=noise[i])
         for s in range(chunk):
-            act = _hill(x, grn.half_response, cfg.hill_gamma)[:, grn.regulators]
-            contrib = np.where(activates, weights * act, weights * (1.0 - act))
-            production = grn.basal + contrib @ scatter
+            production = base + _hill(x, threshold, cfg.hill_gamma) @ signed
             decay_flux = grn.decay[None, :] * x
             drift = (production - decay_flux) * cfg.dt
             diffusion = cfg.zeta * sqrt_dt * (

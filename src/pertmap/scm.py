@@ -35,15 +35,10 @@ class Intervention:
 
 @dataclass(frozen=True)
 class WeightedDag:
-    """Weighted acyclic adjacency matrix plus a topological node order.
-
-    ``weights[k, j]`` is the weight of edge j -> k.  ``node_permutation[p]``
-    is the node occupying topological position p, so edges only run from
-    earlier to later positions.
-    """
+    """Weighted acyclic adjacency matrix: ``weights[k, j]`` is the weight
+    of edge j -> k."""
 
     weights: np.ndarray
-    node_permutation: np.ndarray
 
     @property
     def d(self) -> int:
@@ -80,7 +75,7 @@ def sample_dag(d: int, p: float, rng: np.random.Generator) -> WeightedDag:
                 sign = 1.0 if rng.random() < 0.5 else -1.0
                 # position a precedes position b, so the edge runs perm[a] -> perm[b]
                 w[perm[b], perm[a]] = sign * magnitude
-    return WeightedDag(weights=normalize_weights(w), node_permutation=perm)
+    return WeightedDag(weights=normalize_weights(w))
 
 
 def normalize_weights(w: np.ndarray) -> np.ndarray:
@@ -111,7 +106,7 @@ def apply_intervention(scm: WeightedDag, iv: Intervention) -> WeightedDag:
         raise InvalidArgumentError(f"intervention target {iv.target} out of range for d={scm.d}")
     w = scm.weights.copy()
     w[iv.target, :] = 0.0
-    return WeightedDag(weights=w, node_permutation=scm.node_permutation)
+    return WeightedDag(weights=w)
 
 
 def _standardize_columns(values: np.ndarray) -> np.ndarray:
@@ -191,17 +186,3 @@ def encode_treatment(iv: Intervention, d: int) -> np.ndarray:
     code[iv.target] = iv.value
     return code
 
-
-def descendants(scm: WeightedDag, node: int) -> set[int]:
-    """Nodes reachable from ``node`` along directed edges (excluding itself)."""
-    adj = np.abs(scm.weights) > 0  # adj[k, j]: edge j -> k
-    seen: set[int] = set()
-    stack = [node]
-    while stack:
-        j = stack.pop()
-        for k in np.flatnonzero(adj[:, j]):
-            if int(k) not in seen:
-                seen.add(int(k))
-                stack.append(int(k))
-    seen.discard(node)
-    return seen

@@ -112,7 +112,7 @@ def test_forward_is_pure_and_deterministic():
 
 def test_parameter_set_order_and_uniqueness():
     ps = ParameterSet([("b", (2,)), ("a", (3,))], np.arange(5.0))
-    assert ps.names() == ["b", "a"]
+    assert list(ps) == ["b", "a"]
     assert np.array_equal(ps["b"].data, [0.0, 1.0]) and np.array_equal(ps["a"].data, [2.0, 3.0, 4.0])
     with pytest.raises(InvalidArgumentError, match="duplicate"):
         ParameterSet([("a", (1,)), ("a", (1,))], np.zeros(2))
@@ -144,11 +144,7 @@ def test_grad_collects_over_parameter_set():
     ps = ParameterSet([("w", (1, 2))], np.array([1.0, 2.0]))
     x = Tensor(np.array([[3.0], [4.0]]))
     loss = (ps["w"] @ x).sum()
-    assert np.array_equal(ad.grad(loss, ps), [3.0, 4.0])
-    assert np.array_equal(ad.grad(loss, ps), [3.0, 4.0])  # cleared, not accumulated
-
-
-def test_grad_rejects_non_scalar_loss():
-    ps = ParameterSet([("w", (3,))], np.ones(3))
-    with pytest.raises(InvalidArgumentError):
-        ad.grad(ps["w"] * 2.0, ps)
+    for _ in range(2):  # zero_grads clears, so the second pass does not accumulate
+        ps.zero_grads()
+        loss.backward()
+        assert np.array_equal(ps.grad, [3.0, 4.0])

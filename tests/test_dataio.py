@@ -65,7 +65,7 @@ def test_checkpoint_round_trip_through_restore_params_is_exact(tmp_path):
     values, loaded_cfg, extra = dataio.load_checkpoint(tmp_path / "model.ckpt")
     restored = dataio.restore_params(values, loaded_cfg)
     assert loaded_cfg == cfg and extra == {"step": 7}
-    assert restored.names() == params.names()
+    assert list(restored) == list(params)
     assert restored.values.dtype == np.float32 and np.array_equal(restored.values, params.values)
     for name, t in params.items():
         assert restored[name].data.dtype == t.data.dtype

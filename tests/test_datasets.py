@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -37,6 +38,17 @@ def test_grn_dataset_is_worker_count_invariant():
         serial = datasets.generate_grn_dataset(2, 4, 20, paired=paired, base_seed=5, workers=1)
         parallel = datasets.generate_grn_dataset(2, 4, 20, paired=paired, base_seed=5, workers=2)
         _assert_identical(serial, parallel)
+
+
+def test_grn_knockout_columns_are_exactly_zero():
+    # A knocked-out gene has no production, so its column stays at the
+    # zero start state through the burn-in, the noise chain and log-normalizing.
+    for base_seed in (7, 8211):
+        for paired in (False, True):
+            ds = datasets.generate_grn_dataset(2, 6, 16, paired=paired, base_seed=base_seed)
+            assert len(ds.interventional) == 2 * 6
+            for (_, t), batch in ds.interventional.items():
+                assert np.all(batch[:, t] == 0.0), (base_seed, paired, t)
 
 
 # The manifest is the dataset archive's JSON header: it lists the contexts
@@ -196,7 +208,8 @@ def test_paired_scm_dataset_changes_only_the_treated_gene_and_its_descendants():
         unpaired = datasets.generate_scm_dataset(3, 6, 40, paired=False, base_seed=base_seed)
         for (c, t), batch in paired.interventional.items():
             dag = scm.sample_dag(6, 0.5, np.random.default_rng(mix_seed(base_seed, c, 0, ROLE_STRUCTURE)))
-            rest = sorted(set(range(6)) - {t} - scm.descendants(dag, t))
+            graph = nx.from_numpy_array(dag.weights.T, create_using=nx.DiGraph)  # edge j -> k at [j, k]
+            rest = sorted(set(range(6)) - {t} - nx.descendants(graph, t))
             assert np.array_equal(batch[:, rest], paired.observational[c][:, rest])
             diff = unpaired.interventional[(c, t)][:, rest] - unpaired.observational[c][:, rest]
             assert np.all(np.abs(diff).max(axis=0) > 0.5)

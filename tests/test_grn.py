@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -60,8 +61,30 @@ def test_sampled_configs_stay_in_prior_ranges():
         (SergioConfig, {"dt": 0.0}),
         (SergioConfig, {"dt": -0.01}),
         (SergioConfig, {"burn_in_steps": 0}),
+        (GrnConfig, {"genes": 5, "delta_in": 0.0}),
+        (GrnConfig, {"genes": 5, "delta_in": -50.0}),
+        (GrnConfig, {"genes": 5, "delta_out": 0.0}),
+        (GrnConfig, {"genes": 5, "w_modularity": -1.0}),
+        (GrnConfig, {"genes": 5, "w_modularity": 0.0}),
+        (SergioConfig, {"sigma_lib": -0.5}),
+        (SergioConfig, {"hill_gamma": -1.0}),
+        (SergioConfig, {"hill_gamma": 0.0}),
     ],
-    ids=["k_groups", "p_sparsity", "dt_zero", "dt_negative", "burn_in_steps"],
+    ids=[
+        "k_groups",
+        "p_sparsity",
+        "dt_zero",
+        "dt_negative",
+        "burn_in_steps",
+        "delta_in_zero",
+        "delta_in_negative",
+        "delta_out_zero",
+        "w_modularity_negative",
+        "w_modularity_zero",
+        "sigma_lib_negative",
+        "hill_gamma_negative",
+        "hill_gamma_zero",
+    ],
 )
 def test_configs_reject_out_of_range_values(cls, kwargs):
     with pytest.raises(InvalidArgumentError):
@@ -121,7 +144,7 @@ def test_simulation_ready_grn_invariants_hold():
     for _ in range(10):
         cfg = grnmod.sample_grn_config(25, rng)
         g = grnmod.sample_simulation_ready_grn(cfg, rng)
-        assert g.is_acyclic()
+        assert nx.is_directed_acyclic_graph(g.to_digraph())
         if g.targets.size:
             assert g.master_regulators(), "acyclic non-empty network must have an MR"
         assert np.all((np.abs(g.strengths) >= 1.0) & (np.abs(g.strengths) <= 5.0))
@@ -149,10 +172,10 @@ def test_break_cycles_shared_minimum_edge_breaks_both():
     # edge of both; removing it alone must leave the graph acyclic.
     edges = [(1, 0, 0.1), (0, 1, 1.0), (0, 2, 1.0), (2, 1, 1.0)]
     g = _manual_grn(3, edges, {})
-    cycles_before = list(__import__("networkx").simple_cycles(g.to_digraph()))
+    cycles_before = list(nx.simple_cycles(g.to_digraph()))
     assert len(cycles_before) == 2
     out = grnmod.break_cycles(g)
-    assert out.is_acyclic()
+    assert nx.is_directed_acyclic_graph(out.to_digraph())
     assert _edges(out) == [(0, 1, 1.0), (0, 2, 1.0), (2, 1, 1.0)]
 
 
@@ -179,8 +202,9 @@ def test_ensure_master_regulators_requires_some_regulator():
 
 
 def test_hill_half_saturation_identity():
+    # _hill takes the threshold already raised to the Hill coefficient.
     for gamma in (1.5, 2.0, 2.5):
-        assert grnmod._hill(0.7, 0.7, gamma) == pytest.approx(0.5)
+        assert grnmod._hill(0.7, 0.7**gamma, gamma) == pytest.approx(0.5)
 
 
 def test_simulate_single_mr_matches_analytic_fixed_point():
@@ -208,6 +232,42 @@ def test_zero_noise_simulation_settles_at_half_responses():
         cfg = SergioConfig(hill_gamma=float(rng.uniform(1.5, 2.5)), zeta=0.0, burn_in_steps=3000)
         cells = grnmod.simulate_expression(g, cfg, 2, seed=0)
         np.testing.assert_allclose(cells, np.tile(g.half_response, (2, 1)), rtol=1e-3)
+
+
+def test_noise_free_simulation_matches_the_per_edge_euler_reference():
+    # The simulator sums production as base + h @ signed; this reference adds
+    # each edge's Hill term, s*h for an activator and |s|*(1 - h) for a
+    # repressor, in edge order.  Only the summation order differs.
+    rng = np.random.default_rng(41)
+    g = grnmod.sample_simulation_ready_grn(GrnConfig(genes=8, p_sparsity=3.0), rng)
+    assert np.any(g.strengths > 0) and np.any(g.strengths < 0)
+    cfg = SergioConfig(hill_gamma=2.2, zeta=0.0, burn_in_steps=300)
+    x = np.zeros(g.genes)
+    for _ in range(cfg.burn_in_steps):
+        h = x**cfg.hill_gamma / (g.half_response**cfg.hill_gamma + x**cfg.hill_gamma)
+        production = g.basal.copy()
+        for r, t, s in zip(g.regulators, g.targets, g.strengths):
+            production[t] += s * h[r] if s > 0 else -s * (1.0 - h[r])
+        x = np.maximum(x + (production - g.decay * x) * cfg.dt, 0.0)
+    cells = grnmod.simulate_expression(g, cfg, 2, seed=0)
+    np.testing.assert_allclose(cells, np.tile(x, (2, 1)), rtol=1e-12, atol=0)
+
+
+def test_repeated_regulator_target_pair_sums_both_edges():
+    # Two edges 0 -> 1 (+2.0 and -1.5) contribute both terms: with gene 0 at
+    # its threshold, gene 1 makes 0.5 * 2.0 + 0.5 * 1.5 and settles at 3.5.
+    g = _manual_grn(2, [(0, 1, 2.0), (0, 1, -1.5)], {0: 2.0})
+    assert g.half_response.tolist() == [4.0, 3.5]
+    cells = grnmod.simulate_expression(g, SergioConfig(zeta=0.0, burn_in_steps=3000), 2, seed=0)
+    np.testing.assert_allclose(cells, [[4.0, 3.5]] * 2, rtol=1e-3)
+
+
+@pytest.mark.parametrize("p_sparsity", [0.0, 2.0], ids=["edgeless", "with_edges"])
+def test_simulate_rejects_a_network_without_half_responses(p_sparsity):
+    raw = grnmod.sample_grn(GrnConfig(genes=5, p_sparsity=p_sparsity), np.random.default_rng(3))
+    assert (raw.targets.size > 0) == (p_sparsity > 0)
+    with pytest.raises(InvalidArgumentError, match="half-responses"):
+        grnmod.simulate_expression(raw, SergioConfig(burn_in_steps=10), 2, seed=0)
 
 
 def test_simulate_deterministic_and_chunk_invariant():
@@ -276,6 +336,17 @@ def test_knockout_of_sink_gene_leaves_other_columns_unchanged():
     ko = grnmod.simulate_expression(grnmod.knockout(g, 2), cfg, 6, seed=5)
     assert np.array_equal(control[:, :2], ko[:, :2])
     assert np.all(ko[:, 2] == 0.0)
+
+
+def test_target_of_a_knocked_out_activator_stays_exactly_zero():
+    # Gene 1's only regulator is gene 0; gene 2 is an unrelated basal gene.
+    g = _manual_grn(3, [(0, 1, 3.0)], {0: 2.0, 2: 1.0})
+    cfg = SergioConfig(burn_in_steps=400)
+    control = grnmod.simulate_expression(g, cfg, 20, seed=4)
+    ko = grnmod.simulate_expression(grnmod.knockout(g, 0), cfg, 20, seed=4)
+    assert np.all(control[:, 1] > 0)
+    assert np.all(ko[:, :2] == 0.0)
+    assert np.all(ko[:, 2] > 0)
 
 
 def test_knockout_of_activating_mr_lowers_target_mean():

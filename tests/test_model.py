@@ -87,10 +87,10 @@ def test_build_model_deterministic():
     cfg = mdl.toy_config()
     a = mdl.build_model(cfg, seed=11)
     b = mdl.build_model(cfg, seed=11)
-    for name in a.names():
+    for name in a:
         assert np.array_equal(a[name].data, b[name].data)
     c = mdl.build_model(cfg, seed=12)
-    assert any(not np.array_equal(a[n].data, c[n].data) for n in a.names())
+    assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
 
 
 def test_forward_output_shape():

@@ -130,7 +130,7 @@ def test_cfm_loss_gradients_match_finite_differences():
     h = 1e-6
     checked = 0
     worst = 0.0
-    names = params.names()
+    names = list(params)
     pick = np.random.default_rng(11)
     while checked < 60:
         name = names[pick.integers(len(names))]
@@ -295,7 +295,7 @@ def test_train_loss_decreases_and_is_deterministic():
     # EMA stays close to but distinct from the online weights.
     assert any(
         not np.array_equal(res1.params[n].data, res1.ema_params[n].data)
-        for n in res1.params.names()
+        for n in res1.params
     )
 
 
