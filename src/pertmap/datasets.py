@@ -6,8 +6,13 @@ batch's seed derives from (base_seed, context, treatment, role), so any
 subset of conditions can be produced independently: generation with any
 worker count is bit-identical to serial generation.
 
-Counterfactually paired datasets reuse the observational noise (or the
-simulation seed, for expression data) across all treatments of a context.
+This module owns the decisions the prior modules leave open: the seed of
+every random stream, the pairing rule and each prior's normalization.  A
+counterfactually paired batch reuses its context's observational streams
+(the sampling noise, and for expression data the technical noise too), so
+every treatment of a context starts from the same draws.  Linear-SCM batches
+are rescaled to unit column variance; expression counts are median-count
+log-normalized.
 """
 
 from __future__ import annotations
@@ -68,25 +73,37 @@ class PerturbationDataset:
         return sorted(t for c, t in self.interventional if c == context_id)
 
 
+# -- stream seeds and pairing ---------------------------------------------------
+
+
+def _stream_seeds(base_seed: int, context_id: int, treatment: Optional[int], paired: bool) -> tuple[int, int]:
+    """Seeds of one batch's sampling-noise and technical-noise streams.
+
+    ``treatment`` is None for the context's observational batch.  A paired
+    batch reuses its context's observational streams, which makes it the
+    counterfactual of the observational batch under its treatment.
+    """
+    t, role = (0, ROLE_OBS_NOISE) if treatment is None or paired else (treatment, ROLE_INT_NOISE)
+    return mix_seed(base_seed, context_id, t, role), mix_seed(base_seed, context_id, t, ROLE_TECH_NOISE)
+
+
 # -- linear SCM datasets -----------------------------------------------------
 
 
 def _scm_context(args) -> tuple[int, np.ndarray, dict[int, np.ndarray], dict[int, np.ndarray]]:
     context_id, d, n, edge_prob, paired, base_seed = args
     rng = np.random.default_rng(mix_seed(base_seed, context_id, 0, ROLE_STRUCTURE))
-    dag = scmmod.sample_dag(d, edge_prob, rng)
-    obs_seed = mix_seed(base_seed, context_id, 0, ROLE_OBS_NOISE)
-    obs = scmmod.sample_observational(dag, n, obs_seed)
-    # Pairing reuses the observational noise matrix for every treatment.
-    shared = np.random.default_rng(obs_seed).standard_normal((n, d)) if paired else None
+    w = scmmod.sample_dag(d, edge_prob, rng)
+    obs_seed, _ = _stream_seeds(base_seed, context_id, None, paired)
+    obs = _standardize_columns(scmmod.sample_observational(w, n, obs_seed))
 
     batches: dict[int, np.ndarray] = {}
     codes: dict[int, np.ndarray] = {}
     for target in range(d):
         value_rng = np.random.default_rng(mix_seed(base_seed, context_id, target, ROLE_TREATMENT))
         iv = scmmod.Intervention(target, scmmod.sample_intervention_value(value_rng))
-        int_seed = mix_seed(base_seed, context_id, target, ROLE_INT_NOISE)
-        batches[target] = scmmod.sample_interventional(dag, iv, n, int_seed, paired_noise=shared)
+        seed, _ = _stream_seeds(base_seed, context_id, target, paired)
+        batches[target] = _standardize_columns(scmmod.sample_interventional(w, iv, n, seed))
         codes[target] = scmmod.encode_treatment(iv, d)
     return context_id, obs, batches, codes
 
@@ -100,7 +117,10 @@ def generate_scm_dataset(
     base_seed: int = 0,
     workers: int = 1,
 ) -> PerturbationDataset:
-    """Sample linear-model contexts with one intervention per node."""
+    """Sample linear-model contexts with one intervention per node, each
+    batch rescaled to unit column variance."""
+    if n_samples < 2:
+        raise InvalidArgumentError(f"unit-variance batches need at least two samples, got {n_samples}")
     ds = PerturbationDataset(kind=SCM_KIND, d=d, n=n_samples, paired=paired, base_seed=base_seed)
     jobs = [(c, d, n_samples, edge_prob, paired, base_seed) for c in range(n_contexts)]
     return _assemble(ds, _scm_context, jobs, workers)
@@ -116,17 +136,13 @@ def _grn_context(args):
     sergio_cfg = grnmod.sample_sergio_config(rng)
     network = grnmod.sample_simulation_ready_grn(grn_cfg, rng)
 
-    def condition(network_variant, treatment: int) -> np.ndarray:
-        # Treatment 0 is the observational stream; paired data shares it
-        # with every knockout.
-        t, role = (0, ROLE_OBS_NOISE) if paired or treatment == 0 else (treatment, ROLE_INT_NOISE)
-        sim_seed = mix_seed(base_seed, context_id, t, role)
-        tech_seed = mix_seed(base_seed, context_id, t, ROLE_TECH_NOISE)
+    def condition(network_variant, treatment: Optional[int]) -> np.ndarray:
+        sim_seed, tech_seed = _stream_seeds(base_seed, context_id, treatment, paired)
         clean = grnmod.simulate_expression(network_variant, sergio_cfg, n_cells, sim_seed)
         counts = grnmod.apply_technical_noise(clean, sergio_cfg, tech_seed)
         return median_count_log_normalize(counts)
 
-    obs = condition(network, 0)
+    obs = condition(network, None)
     batches: dict[int, np.ndarray] = {}
     codes: dict[int, np.ndarray] = {}
     for gene in range(genes):
@@ -170,14 +186,34 @@ def _assemble(ds: PerturbationDataset, context_fn, jobs, workers: int) -> Pertur
     return ds
 
 
+# -- normalization ---------------------------------------------------------------
+
+# Columns whose sample variance falls below this are treated as constant and
+# exempted from unit-variance rescaling (the clamped column of a hard
+# intervention is exactly constant).
+_CONST_VAR_EPS = 1e-12
+
+
+def _standardize_columns(values: np.ndarray) -> np.ndarray:
+    """Rescale every column to unit sample variance (ddof=1).
+
+    Constant columns (zero variance, e.g. a clamped intervention column) are
+    left untouched.
+    """
+    var = values.var(axis=0, ddof=1)
+    scale = np.where(var > _CONST_VAR_EPS, np.sqrt(np.maximum(var, _CONST_VAR_EPS)), 1.0)
+    return values / scale
+
+
 def median_count_log_normalize(counts: np.ndarray) -> np.ndarray:
     """Scale each cell's counts to the median total, then log2(1 + x).
 
-    Cells with zero total are left unscaled (their row stays zero).
+    Cells with zero total are left unscaled (their row stays zero).  Raises
+    InvalidArgumentError on a negative or non-finite count.
     """
     counts = np.asarray(counts, dtype=float)
-    if np.any(counts < 0):
-        raise InvalidArgumentError("counts must be non-negative")
+    if not np.all((counts >= 0) & (counts < np.inf)):
+        raise InvalidArgumentError("counts must be finite and non-negative")
     totals = counts.sum(axis=1)
     median = np.median(totals)
     scale = np.where(totals > 0, median / np.maximum(totals, 1e-12), 1.0)

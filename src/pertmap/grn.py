@@ -379,11 +379,12 @@ def apply_technical_noise(
     (2) each cell is rescaled so its total follows LogNormal(mu_lib,
     sigma_lib), (3) entries drop out with probability from a logistic in
     log1p-expression whose midpoint sits at its 8th percentile and whose
-    slope is xi, (4) Poisson sampling yields integer counts.
+    slope is xi, (4) Poisson sampling yields integer counts.  Raises
+    InvalidArgumentError on a negative or non-finite entry.
     """
     clean = np.asarray(clean, dtype=float)
-    if np.any(clean < 0):
-        raise InvalidArgumentError("clean expression must be non-negative")
+    if not np.all((clean >= 0) & (clean < np.inf)):
+        raise InvalidArgumentError("clean expression must be finite and non-negative")
     rng = np.random.default_rng(mix_seed(seed))
     x = clean.copy()
 

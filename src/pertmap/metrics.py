@@ -35,14 +35,17 @@ from .errors import (
 
 _LOG_FC_PSEUDOCOUNT = 1e-6
 _P_FLOOR = 1e-300
+# RBF kernel scales gamma of mmd_rbf, k(x, y) = exp(-gamma |x - y|^2).
+MMD_GAMMAS = (10.0, 1.0, 0.1, 0.01, 0.001)
+# A gene is differentially expressed above these -log10 adjusted p and
+# |log2 fold-change| thresholds.
+DEG_TAU_P = 2.0
+DEG_TAU_L = 0.2
 
 
 @dataclass(frozen=True)
 class MetricConfig:
     sinkhorn_epsilon: float = 0.1
-    mmd_gammas: tuple[float, ...] = (10.0, 1.0, 0.1, 0.01, 0.001)
-    deg_tau_l: float = 0.2
-    deg_tau_p: float = 2.0
     sinkhorn_max_iters: int = 20_000
     # Sup-norm bound on the relative marginal violation.  Overlapping clouds
     # at small epsilon stall near 1e-5, so the default stays above that.
@@ -51,8 +54,6 @@ class MetricConfig:
     def __post_init__(self):
         if self.sinkhorn_epsilon <= 0:
             raise InvalidArgumentError("sinkhorn_epsilon must be positive")
-        if any(g <= 0 for g in self.mmd_gammas):
-            raise InvalidArgumentError("mmd_gammas must be positive")
 
 
 # -- entropic optimal transport -------------------------------------------
@@ -190,7 +191,7 @@ def sinkhorn_divergence(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = Me
 # -- kernel two-sample distance --------------------------------------------
 
 
-def mmd_rbf(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = MetricConfig()) -> float:
+def mmd_rbf(y: np.ndarray, y_hat: np.ndarray) -> float:
     """RBF-kernel MMD, biased V-statistic, averaged over the length scales.
 
     Returns sqrt(mean_gamma MMD^2(gamma)); the biased estimator is
@@ -201,14 +202,14 @@ def mmd_rbf(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = MetricConfig()
     d_hh = cdist(y_hat, y_hat, "sqeuclidean")
     d_yh = cdist(y, y_hat, "sqeuclidean")
     total = 0.0
-    for gamma in cfg.mmd_gammas:
+    for gamma in MMD_GAMMAS:
         mmd2 = (
             np.exp(-gamma * d_yy).mean()
             + np.exp(-gamma * d_hh).mean()
             - 2.0 * np.exp(-gamma * d_yh).mean()
         )
         total += max(float(mmd2), 0.0)
-    return math.sqrt(total / len(cfg.mmd_gammas))
+    return math.sqrt(total / len(MMD_GAMMAS))
 
 
 # -- moment and ranking metrics --------------------------------------------
@@ -220,14 +221,10 @@ def rmse_means(y: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y_hat.mean(axis=0) - y.mean(axis=0)) ** 2)))
 
 
-def transposed_rank_contributions(
-    predicted_means: np.ndarray, observed_means: np.ndarray
-) -> np.ndarray:
-    """Per-condition transposed-rank terms.
-
-    Term i is the fraction of non-matching observed means at least as close
-    (Euclidean, ties count) to prediction i as its matched observed mean.
-    """
+def transposed_rank(predicted_means: np.ndarray, observed_means: np.ndarray) -> float:
+    """Mean over conditions i of the fraction of non-matching observed means
+    at least as close (Euclidean, ties count) to prediction i as its matched
+    observed mean."""
     pred = np.atleast_2d(np.asarray(predicted_means, dtype=float))
     obs = np.atleast_2d(np.asarray(observed_means, dtype=float))
     if pred.shape != obs.shape:
@@ -239,11 +236,7 @@ def transposed_rank_contributions(
     matched = np.diag(dists)
     closer = dists <= matched[:, None]
     np.fill_diagonal(closer, False)
-    return closer.sum(axis=1) / (p - 1)
-
-
-def transposed_rank(predicted_means: np.ndarray, observed_means: np.ndarray) -> float:
-    return float(transposed_rank_contributions(predicted_means, observed_means).mean())
+    return float((closer.sum(axis=1) / (p - 1)).mean())
 
 
 def magnitude_ratio(
@@ -293,12 +286,7 @@ def deg_stats(y_ref: np.ndarray, y_alt: np.ndarray) -> DegStats:
     Means are clamped at zero before the pseudocount is added, so the
     fold-change stays defined for real-valued (not strictly positive) data.
     """
-    y_ref = np.atleast_2d(np.asarray(y_ref, dtype=float))
-    y_alt = np.atleast_2d(np.asarray(y_alt, dtype=float))
-    if y_ref.shape[1] != y_alt.shape[1]:
-        raise InvalidArgumentError("gene dimensions do not match")
-    if y_ref.shape[0] < 1 or y_alt.shape[0] < 1:
-        raise InvalidArgumentError("both batches must be non-empty")
+    y_ref, y_alt = _two_samples(y_ref, y_alt)
     # Two-sided asymptotic test: mid-ranks, tie-corrected variance and a
     # continuity correction.  All-tied genes get p = 1.
     pvals = mannwhitneyu(y_ref, y_alt, axis=0, method="asymptotic").pvalue
@@ -309,27 +297,21 @@ def deg_stats(y_ref: np.ndarray, y_alt: np.ndarray) -> DegStats:
     return DegStats(neglog10_p=neglog, log2_fold_change=np.log2(mu_alt / mu_ref))
 
 
-def deg_labels(
-    y_obs: np.ndarray, y_int: np.ndarray, cfg: MetricConfig = MetricConfig()
-) -> tuple[np.ndarray, DegStats]:
+def deg_labels(y_obs: np.ndarray, y_int: np.ndarray) -> tuple[np.ndarray, DegStats]:
     """Ground-truth differential-expression labels.
 
     A gene is differentially expressed when the adjusted significance
-    exceeds tau_p and the absolute log2 fold-change exceeds tau_l.
+    exceeds DEG_TAU_P and the absolute log2 fold-change exceeds DEG_TAU_L.
     """
     stats = deg_stats(y_obs, y_int)
-    labels = (stats.neglog10_p > cfg.deg_tau_p) & (
-        np.abs(stats.log2_fold_change) > cfg.deg_tau_l
-    )
+    labels = (stats.neglog10_p > DEG_TAU_P) & (np.abs(stats.log2_fold_change) > DEG_TAU_L)
     return labels.astype(int), stats
 
 
-def deg_scores(
-    y_obs: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = MetricConfig()
-) -> np.ndarray:
+def deg_scores(y_obs: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     """Ranking scores |log2 fold-change| gated by predicted significance."""
     stats = deg_stats(y_obs, y_hat)
-    return np.abs(stats.log2_fold_change) * (stats.neglog10_p > cfg.deg_tau_p)
+    return np.abs(stats.log2_fold_change) * (stats.neglog10_p > DEG_TAU_P)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,18 @@ def test_grn_dataset_is_worker_count_invariant():
         _assert_identical(serial, parallel)
 
 
+def test_scm_dataset_needs_two_samples():
+    # One sample has no sample variance to rescale its columns by.
+    with pytest.raises(InvalidArgumentError, match="two samples"):
+        datasets.generate_scm_dataset(1, 3, 1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_median_count_log_normalize_rejects_non_finite_counts(value):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        datasets.median_count_log_normalize(np.array([[1.0, 2.0], [value, 0.0]]))
+
+
 def test_grn_knockout_columns_are_exactly_zero():
     # A knocked-out gene has no production, so its column stays at the
     # zero start state through the burn-in, the noise chain and log-normalizing.
@@ -207,8 +219,8 @@ def test_paired_scm_dataset_changes_only_the_treated_gene_and_its_descendants():
         paired = datasets.generate_scm_dataset(3, 6, 40, paired=True, base_seed=base_seed)
         unpaired = datasets.generate_scm_dataset(3, 6, 40, paired=False, base_seed=base_seed)
         for (c, t), batch in paired.interventional.items():
-            dag = scm.sample_dag(6, 0.5, np.random.default_rng(mix_seed(base_seed, c, 0, ROLE_STRUCTURE)))
-            graph = nx.from_numpy_array(dag.weights.T, create_using=nx.DiGraph)  # edge j -> k at [j, k]
+            w = scm.sample_dag(6, 0.5, np.random.default_rng(mix_seed(base_seed, c, 0, ROLE_STRUCTURE)))
+            graph = nx.from_numpy_array(w.T, create_using=nx.DiGraph)  # edge j -> k at [j, k]
             rest = sorted(set(range(6)) - {t} - nx.descendants(graph, t))
             assert np.array_equal(batch[:, rest], paired.observational[c][:, rest])
             diff = unpaired.interventional[(c, t)][:, rest] - unpaired.observational[c][:, rest]

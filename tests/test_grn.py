@@ -400,6 +400,13 @@ def test_technical_noise_rejects_negative_input():
         grnmod.apply_technical_noise(np.array([[-1.0]]), SergioConfig(), seed=0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_technical_noise_rejects_non_finite_input(value):
+    # NaN passed the sign check and reached numpy's Poisson sampler.
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        grnmod.apply_technical_noise(np.array([[1.0, value]]), SergioConfig(), seed=0)
+
+
 def test_technical_noise_deterministic():
     rng = np.random.default_rng(10)
     clean = rng.uniform(0.0, 5.0, size=(30, 4))

@@ -145,7 +145,7 @@ def test_sinkhorn_kernel_that_left_the_float_range_raises():
         metrics._absorbed_sums(np.array([[0.0, 0.0], [1.0, 2.0]]), 0.1)
 
 
-TWO_SAMPLE_METRICS = [metrics.sinkhorn_divergence, metrics.mmd_rbf, metrics.rmse_means]
+TWO_SAMPLE_METRICS = [metrics.sinkhorn_divergence, metrics.mmd_rbf, metrics.rmse_means, metrics.deg_stats]
 
 
 @pytest.mark.parametrize("metric", TWO_SAMPLE_METRICS, ids=lambda f: f.__name__)
@@ -163,7 +163,8 @@ def test_two_sample_metrics_reject_an_empty_sample(metric):
 
 @pytest.mark.parametrize("metric", TWO_SAMPLE_METRICS, ids=lambda f: f.__name__)
 def test_two_sample_metrics_reject_zero_gene_samples(metric):
-    # Without the check rmse_means returned NaN and the others 0.0.
+    # Without the check rmse_means returned NaN, deg_stats empty arrays and
+    # the others 0.0.
     with pytest.raises(InvalidArgumentError, match="non-empty"):
         metric(np.zeros((3, 0)), np.zeros((3, 0)))
 
@@ -183,9 +184,8 @@ def test_mmd_identical_inputs_zero():
 
 
 def test_mmd_singletons_closed_form():
-    cfg = MetricConfig()
-    val = metrics.mmd_rbf(np.array([[0.0]]), np.array([[1.0]]), cfg)
-    per_gamma = [2.0 - 2.0 * math.exp(-g) for g in cfg.mmd_gammas]
+    val = metrics.mmd_rbf(np.array([[0.0]]), np.array([[1.0]]))
+    per_gamma = [2.0 - 2.0 * math.exp(-g) for g in metrics.MMD_GAMMAS]
     assert val == pytest.approx(math.sqrt(np.mean(per_gamma)), rel=1e-12)
 
 
@@ -363,17 +363,16 @@ def test_wilcoxon_all_identical():
 
 
 def test_deg_labels_threshold_rule():
-    cfg = MetricConfig()
     # Directly exercise the joint threshold on synthetic stats.
-    assert (3.0 > cfg.deg_tau_p) and (0.5 > cfg.deg_tau_l)
-    assert not (0.1 > cfg.deg_tau_l)
+    assert (3.0 > metrics.DEG_TAU_P) and (0.5 > metrics.DEG_TAU_L)
+    assert not (0.1 > metrics.DEG_TAU_L)
     rng = np.random.default_rng(8)
     y_obs = rng.standard_normal((60, 4)) + 2.0
     y_int = y_obs.copy()
     y_int[:, 1] += 3.0  # strong shift in one gene only
-    labels, stats = metrics.deg_labels(y_obs, y_int, cfg)
+    labels, stats = metrics.deg_labels(y_obs, y_int)
     assert labels[1] == 1
-    assert stats.neglog10_p[1] > cfg.deg_tau_p
+    assert stats.neglog10_p[1] > metrics.DEG_TAU_P
 
 
 def test_deg_labels_identical_samples_all_zero():
