@@ -35,6 +35,7 @@ _OUTLIER_GENE_PROB = 0.01
 _DROPOUT_PERCENTILE = 8.0  # of log1p-expression, at the dropout logistic's midpoint
 _CELL_BLOCK = 512  # cells simulated per vectorized block
 _STEP_CHUNK = 500  # SDE steps per noise chunk
+_DT = 0.01  # Euler-Maruyama step
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class SergioConfig:
 
     hill_gamma: float = 2.0
     zeta: float = 1.0  # process-noise scale
-    dt: float = 0.01
     burn_in_steps: int = 2000
     mu_outlier: float = 3.0
     mu_lib: float = 5.0
@@ -73,8 +73,6 @@ class SergioConfig:
     def __post_init__(self):
         if self.hill_gamma <= 0:
             raise InvalidArgumentError("hill_gamma must be positive")
-        if self.dt <= 0:
-            raise InvalidArgumentError("dt must be positive")
         if self.sigma_lib < 0:
             raise InvalidArgumentError("sigma_lib must be non-negative")
         if self.burn_in_steps < 1:
@@ -335,7 +333,7 @@ def _simulate_block(grn, cfg, cells, seed, base, signed, threshold):
     block = len(cells)
     rngs = [np.random.default_rng(mix_seed(seed, c)) for c in cells]
     x = np.zeros((block, grn.genes))
-    sqrt_dt = math.sqrt(cfg.dt)
+    sqrt_dt = math.sqrt(_DT)
     # One buffer, refilled per chunk: row i holds cell i's draws.
     buffer = np.empty((block, min(_STEP_CHUNK, cfg.burn_in_steps), 2, grn.genes))
 
@@ -350,7 +348,7 @@ def _simulate_block(grn, cfg, cells, seed, base, signed, threshold):
         for s in range(chunk):
             production = base + _hill(x, threshold, cfg.hill_gamma) @ signed
             decay_flux = grn.decay[None, :] * x
-            drift = (production - decay_flux) * cfg.dt
+            drift = (production - decay_flux) * _DT
             diffusion = cfg.zeta * sqrt_dt * (
                 np.sqrt(production) * noise[:, s, 0, :]
                 - np.sqrt(decay_flux) * noise[:, s, 1, :]

@@ -6,11 +6,13 @@ divergence on the squared-Euclidean cost, reported on the square-root
 scale), multi-scale RBF maximum mean discrepancy, RMSE of the per-gene
 means, the transposed rank across conditions, the magnitude ratio of
 predicted to true effect sizes, and the Pearson correlation of per-gene
-variances.  The transport solves behind the Sinkhorn divergence run in the
-stabilized scaling domain: each iteration is two matrix-vector products on
-a kernel with the dual potentials folded in, and the scalings are absorbed
-back into the potentials at the end of each epsilon stage, or sooner when
-one would leave a fixed safe range.  The differential-expression pipeline
+variances.  Every metric checks its samples through one gate: non-empty,
+over the same genes, finite.  The Sinkhorn solver's schedule is a list of
+(epsilon, iterations) stages.  It runs in the stabilized scaling domain:
+each iteration is two matrix-vector products on a kernel with the dual
+potentials folded in, and the scalings are absorbed back into the
+potentials at the end of each stage, or sooner when one would leave a
+fixed safe range.  The differential-expression pipeline
 combines per-gene Wilcoxon rank-sum tests and Benjamini-Hochberg correction
 (both from scipy.stats), fold-change thresholds, and precision-recall
 sweeps.
@@ -52,8 +54,12 @@ class MetricConfig:
     sinkhorn_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.sinkhorn_epsilon <= 0:
-            raise InvalidArgumentError("sinkhorn_epsilon must be positive")
+        if not (math.isfinite(self.sinkhorn_epsilon) and self.sinkhorn_epsilon > 0):
+            raise InvalidArgumentError("sinkhorn_epsilon must be finite and positive")
+        if self.sinkhorn_max_iters < 1:
+            raise InvalidArgumentError("sinkhorn_max_iters must be >= 1")
+        if not self.sinkhorn_tol > 0:
+            raise InvalidArgumentError("sinkhorn_tol must be positive")
 
 
 # -- entropic optimal transport -------------------------------------------
@@ -67,6 +73,7 @@ class MetricConfig:
 # The scalings right after a rebuild are checked in _absorbed_sums, so every
 # log taken at an absorption is finite.
 _SCALING_BOUND = 1e100
+_WARM_ITERS = 30  # iterations of each warm epsilon stage
 
 
 def _kernels(f: np.ndarray, g: np.ndarray, cost: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -84,77 +91,71 @@ def _absorbed_sums(k: np.ndarray, eps: float) -> np.ndarray:
     return sums
 
 
+def _absorb(f, g, u, v, cost, eps):
+    """Scalings folded into the potentials, and the rebuilt kernels."""
+    f, g = f + eps * np.log(u), g + eps * np.log(v)
+    return (f, g) + _kernels(f, g, cost, eps)
+
+
 def _entropic_ot_value(cost: np.ndarray, epsilon: float, max_iters: int, tol: float) -> float:
     """Entropy-regularized transport value between uniform marginals.
 
-    Runs Sinkhorn with an epsilon-scaling warm start (halving from a tenth
-    of the cost range down to the target, 30 iterations per warm stage),
-    then evaluates <P, C> + eps * (sum P log P + 1) at the optimum.
+    Runs Sinkhorn over a schedule of (epsilon, iterations) stages, then
+    evaluates <P, C> + eps * (sum P log P + 1) at the optimum.  The warm
+    stages halve epsilon from a tenth of the cost maximum while it stays
+    above twice the target, 30 iterations each; the final stage runs at the
+    target with the rest of the budget, max(max_iters - 30 * warm stages, 1)
+    iterations.
 
-    The iterations run in the stabilized scaling form (Schmitzer 2019).  At
-    the start of each stage the potentials f, g are folded into the kernel
-    K = exp((f + g - C) / eps), and the plan is diag(u) K diag(v) / (n m).
-    One iteration is two matrix-vector products, u = 1 / (K v / m) then
-    v = 1 / (K^T u / n): the log-domain update of f and then of g.  The
-    scalings are absorbed into the potentials (f += eps log u,
-    g += eps log v, K rebuilt) at the end of every stage, and before an
-    update that would take a scaling above ``_SCALING_BOUND``.
-    The final stage stops once the row marginals, u * (K v / m) read off
-    the product the next u-update needs, are within ``tol`` of uniform
-    (sup norm, relative); it raises NumericalFailureError when the
-    ``max_iters`` budget runs out first.
+    The iterations run in the stabilized scaling form (Schmitzer 2019): the
+    potentials f, g are folded into the kernel K = exp((f + g - C) / eps),
+    the plan is diag(u) K diag(v) / (n m), and one iteration is
+    u = 1 / (K v / m) then v = 1 / (K^T u / n), the log-domain updates of
+    f and g.  The scalings are absorbed into the potentials (f += eps log u,
+    g += eps log v) at the end of every stage, and, with K rebuilt, before
+    an update that would take one above ``_SCALING_BOUND``.  The final
+    stage stops once the row marginals u * (K v / m) are within ``tol`` of
+    uniform (sup norm, relative); it raises NumericalFailureError when its
+    budget runs out first.
     """
     if not np.all(np.isfinite(cost)):
         raise NumericalFailureError("Sinkhorn cost matrix is not finite")
     n, m = cost.shape
-    f = np.zeros(n)
-    g = np.zeros(m)
+    f, g = np.zeros(n), np.zeros(m)
 
-    schedule = []
+    stages = []
     eps_hi = float(cost.max()) / 10.0
     while eps_hi > epsilon * 2.0:
-        schedule.append(eps_hi)
+        stages.append((eps_hi, _WARM_ITERS))
         eps_hi /= 2.0
-    schedule.append(epsilon)
+    stages.append((epsilon, max(max_iters - _WARM_ITERS * len(stages), 1)))
 
-    iters_used = 0
-    for eps_cur in schedule:
-        final = eps_cur == epsilon
-        budget = max_iters - iters_used if final else 30
-        converged = not final
-        residual = math.inf
-        k_b, k_a_t = _kernels(f, g, cost, eps_cur)
-        u = np.ones(n)
-        v = np.ones(m)
+    for eps, iters in stages:
+        k_b, k_a_t = _kernels(f, g, cost, eps)
+        u, v = np.ones(n), np.ones(m)
         k_v = k_b @ v
-        for _ in range(max(budget, 1)):
-            iters_used += 1
+        for _ in range(iters):
             if not k_v.min() > 1.0 / _SCALING_BOUND:  # NaN absorbs too
-                f, g = f + eps_cur * np.log(u), g + eps_cur * np.log(v)
-                k_b, k_a_t = _kernels(f, g, cost, eps_cur)
+                f, g, k_b, k_a_t = _absorb(f, g, u, v, cost, eps)
                 v = np.ones(m)
-                k_v = _absorbed_sums(k_b, eps_cur)
+                k_v = _absorbed_sums(k_b, eps)
             u = 1.0 / k_v
             k_u = k_a_t @ u
             if not k_u.min() > 1.0 / _SCALING_BOUND:
-                f, g = f + eps_cur * np.log(u), g + eps_cur * np.log(v)
-                k_b, k_a_t = _kernels(f, g, cost, eps_cur)
+                f, g, k_b, k_a_t = _absorb(f, g, u, v, cost, eps)
                 u = np.ones(n)
-                k_u = _absorbed_sums(k_a_t, eps_cur)
+                k_u = _absorbed_sums(k_a_t, eps)
             v = 1.0 / k_u
             k_v = k_b @ v
-            if final:
-                # Column marginals are exact right after the v update; the
-                # row marginals carry the remaining violation.
-                residual = float(np.abs(u * k_v - 1.0).max())
-                if residual < tol:
-                    converged = True
-                    break
-        if final and not converged:
-            raise NumericalFailureError(
-                f"Sinkhorn did not converge in {max_iters} iterations (residual {residual:.3e})"
-            )
-        f, g = f + eps_cur * np.log(u), g + eps_cur * np.log(v)
+            # Final stage: after the v update only the row marginals are off.
+            if eps == epsilon and (residual := float(np.abs(u * k_v - 1.0).max())) < tol:
+                break
+        else:
+            if eps == epsilon:
+                raise NumericalFailureError(
+                    f"Sinkhorn did not converge in {max_iters} iterations (residual {residual:.3e})"
+                )
+        f, g = f + eps * np.log(u), g + eps * np.log(v)
 
     log_p = (f[:, None] + g[None, :] - cost) / epsilon - math.log(n) - math.log(m)
     p = np.exp(log_p)
@@ -165,11 +166,13 @@ def _entropic_ot_value(cost: np.ndarray, epsilon: float, max_iters: int, tol: fl
 
 def _two_samples(y: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both samples as float (cells, genes) arrays; raises unless each has a
-    cell and a gene and both have the same genes."""
+    cell and a gene, both have the same genes and every entry is finite."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
     if y.size == 0 or y_hat.size == 0 or y.shape[1:] != y_hat.shape[1:]:
         raise InvalidArgumentError(f"samples must be non-empty over the same genes: {y.shape}, {y_hat.shape}")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_hat))):
+        raise InvalidArgumentError("samples must be finite")
     return y, y_hat
 
 
@@ -225,13 +228,10 @@ def transposed_rank(predicted_means: np.ndarray, observed_means: np.ndarray) -> 
     """Mean over conditions i of the fraction of non-matching observed means
     at least as close (Euclidean, ties count) to prediction i as its matched
     observed mean."""
-    pred = np.atleast_2d(np.asarray(predicted_means, dtype=float))
-    obs = np.atleast_2d(np.asarray(observed_means, dtype=float))
-    if pred.shape != obs.shape:
-        raise InvalidArgumentError("prediction and observation lists must align")
+    pred, obs = _two_samples(predicted_means, observed_means)
     p = pred.shape[0]
-    if p < 2:
-        raise InvalidArgumentError("transposed rank needs at least two conditions")
+    if obs.shape[0] != p or p < 2:
+        raise InvalidArgumentError("transposed rank needs two or more aligned conditions")
     dists = np.sqrt(cdist(pred, obs, "sqeuclidean"))
     matched = np.diag(dists)
     closer = dists <= matched[:, None]
@@ -257,14 +257,13 @@ def magnitude_ratio(
 
 def variance_correlation(y_int: np.ndarray, y_hat: np.ndarray) -> float:
     """Pearson correlation between the per-gene sample variances."""
-    y_int = np.asarray(y_int, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
+    y_int, y_hat = _two_samples(y_int, y_hat)
     if len(y_int) < 2 or len(y_hat) < 2:
         raise InvalidArgumentError("sample variances need at least two cells per sample")
+    if y_int.shape[1] < 2:
+        raise InvalidArgumentError("variance correlation needs at least two genes")
     v_int = y_int.var(axis=0, ddof=1)
     v_hat = y_hat.var(axis=0, ddof=1)
-    if v_int.shape != v_hat.shape or v_int.size < 2:
-        raise InvalidArgumentError("variance vectors must align and have length >= 2")
     if np.ptp(v_int) == 0.0 or np.ptp(v_hat) == 0.0:
         raise UndefinedCorrelationError("a variance vector is constant")
     return float(np.corrcoef(v_int, v_hat)[0, 1])
@@ -325,37 +324,26 @@ class PrCurve:
 def auprc_curve(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
     """Precision-recall sweep over the distinct score values.
 
-    Classifiers are score > r for every distinct score r (tied genes enter
-    together) plus an include-everything block; empty prediction sets are
-    skipped.  The area is the rectangular integral over recall.
+    Genes enter in descending score order, tied genes together: one point
+    per distinct score, predicting the genes that score at least that much.
+    The area is the rectangular integral over recall, summed left to right.
     """
     scores = np.asarray(scores, dtype=float).ravel()
     labels = np.asarray(labels).astype(bool).ravel()
     if scores.shape != labels.shape:
         raise InvalidArgumentError("scores and labels must align")
+    if not np.all(np.isfinite(scores)):
+        raise InvalidArgumentError("scores must be finite")
     positives = int(labels.sum())
     if positives == 0:
         raise UndefinedMetricError("no positive labels; AUPRC is undefined")
 
-    thresholds = np.concatenate([np.unique(scores)[::-1], [-np.inf]])
-    recalls, precisions = [], []
-    for r in thresholds:
-        predicted = scores > r
-        n_pred = int(predicted.sum())
-        if n_pred == 0:
-            continue
-        tp = int((predicted & labels).sum())
-        recalls.append(tp / positives)
-        precisions.append(tp / n_pred)
-
-    auprc = 0.0
-    prev_recall = 0.0
-    for rec, prec in zip(recalls, precisions):
-        auprc += (rec - prev_recall) * prec
-        prev_recall = rec
-    return PrCurve(
-        recalls=np.array(recalls),
-        precisions=np.array(precisions),
-        auprc=float(auprc),
-        baseline_rate=positives / labels.size,
-    )
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    # The last rank of each tied block, where the next score is lower.
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(labels[order])[ends]
+    recalls = tp / positives
+    precisions = tp / (ends + 1)
+    auprc = float(np.cumsum(np.diff(recalls, prepend=0.0) * precisions)[-1])
+    return PrCurve(recalls=recalls, precisions=precisions, auprc=auprc, baseline_rate=positives / labels.size)

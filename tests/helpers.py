@@ -1,6 +1,6 @@
 """Shared test utilities: central finite differences against the tape,
-unfused reference compositions of the fused layer primitives, and archive
-editing."""
+unfused reference compositions of the fused layer primitives, the
+per-threshold precision-recall sweep, and archive editing."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import numpy as np
 from pertmap import autodiff as ad
 from pertmap import layers
 from pertmap.autodiff import Tensor
+from pertmap.metrics import PrCurve
 
 
 def central_diff(fn: Callable[[Sequence[np.ndarray]], float], arrays: list[np.ndarray], h: float = 1e-6) -> list[np.ndarray]:
@@ -97,6 +98,43 @@ def ref_film_modulate(x: Tensor, time_embedding: Tensor, w: Tensor, b: Tensor) -
         time_embedding = time_embedding.reshape((1, time_embedding.shape[0]))
     gb = ref_linear(time_embedding, w, b)
     return x * (gb[..., :width] + 1.0) + gb[..., width:]
+
+
+# -- precision-recall reference ----------------------------------------------
+
+
+def ref_auprc_curve(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
+    """Per-threshold reference for ``pertmap.metrics.auprc_curve``.
+
+    The classifiers are score > r for every distinct score r plus an
+    include-everything block, each re-thresholding every gene; empty
+    prediction sets are skipped, and a second loop sums the rectangular
+    area over recall.  Scores must be finite and a label positive."""
+    scores = np.asarray(scores, dtype=float).ravel()
+    labels = np.asarray(labels).astype(bool).ravel()
+    positives = int(labels.sum())
+    thresholds = np.concatenate([np.unique(scores)[::-1], [-np.inf]])
+    recalls, precisions = [], []
+    for r in thresholds:
+        predicted = scores > r
+        n_pred = int(predicted.sum())
+        if n_pred == 0:
+            continue
+        tp = int((predicted & labels).sum())
+        recalls.append(tp / positives)
+        precisions.append(tp / n_pred)
+
+    auprc = 0.0
+    prev_recall = 0.0
+    for rec, prec in zip(recalls, precisions):
+        auprc += (rec - prev_recall) * prec
+        prev_recall = rec
+    return PrCurve(
+        recalls=np.array(recalls),
+        precisions=np.array(precisions),
+        auprc=float(auprc),
+        baseline_rate=positives / labels.size,
+    )
 
 
 # -- archives ---------------------------------------------------------------

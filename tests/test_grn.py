@@ -58,8 +58,6 @@ def test_sampled_configs_stay_in_prior_ranges():
     [
         (GrnConfig, {"genes": 5, "k_groups": 0}),
         (GrnConfig, {"genes": 5, "p_sparsity": -0.5}),
-        (SergioConfig, {"dt": 0.0}),
-        (SergioConfig, {"dt": -0.01}),
         (SergioConfig, {"burn_in_steps": 0}),
         (GrnConfig, {"genes": 5, "delta_in": 0.0}),
         (GrnConfig, {"genes": 5, "delta_in": -50.0}),
@@ -73,8 +71,6 @@ def test_sampled_configs_stay_in_prior_ranges():
     ids=[
         "k_groups",
         "p_sparsity",
-        "dt_zero",
-        "dt_negative",
         "burn_in_steps",
         "delta_in_zero",
         "delta_in_negative",
@@ -248,7 +244,7 @@ def test_noise_free_simulation_matches_the_per_edge_euler_reference():
         production = g.basal.copy()
         for r, t, s in zip(g.regulators, g.targets, g.strengths):
             production[t] += s * h[r] if s > 0 else -s * (1.0 - h[r])
-        x = np.maximum(x + (production - g.decay * x) * cfg.dt, 0.0)
+        x = np.maximum(x + (production - g.decay * x) * grnmod._DT, 0.0)
     cells = grnmod.simulate_expression(g, cfg, 2, seed=0)
     np.testing.assert_allclose(cells, np.tile(x, (2, 1)), rtol=1e-12, atol=0)
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import ref_auprc_curve
 from pertmap import metrics
 from pertmap.errors import (
     DegenerateEffectError,
@@ -19,6 +20,7 @@ from pertmap.errors import (
 from pertmap.metrics import MetricConfig
 
 RNG = np.random.default_rng(4242)
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 
 
 # -- oracles ----------------------------------------------------------------
@@ -131,13 +133,36 @@ def test_sinkhorn_absorption_keeps_the_value(monkeypatch, bound):
     assert forced == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_sinkhorn_non_finite_input_raises(bad):
+def test_sinkhorn_cost_that_overflows_raises():
+    # Finite samples whose squared distances overflow reach the solver's
+    # own check on the cost matrix.
     y = np.zeros((3, 2))
     y_hat = np.ones((3, 2))
-    y_hat[1, 0] = bad
-    with pytest.raises(NumericalFailureError):
+    y_hat[1, 0] = 1e200
+    with pytest.raises(NumericalFailureError, match="cost matrix is not finite"):
         metrics.sinkhorn_divergence(y, y_hat)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sinkhorn_epsilon", 0.0),
+        ("sinkhorn_epsilon", -0.1),
+        ("sinkhorn_epsilon", math.nan),
+        ("sinkhorn_epsilon", math.inf),
+        ("sinkhorn_max_iters", 0),
+        ("sinkhorn_max_iters", -5),
+        ("sinkhorn_tol", 0.0),
+        ("sinkhorn_tol", -1e-4),
+        ("sinkhorn_tol", math.nan),
+    ],
+)
+def test_metric_config_rejects_settings_the_solver_cannot_use(field, value):
+    # Without the checks each surfaces as a NumericalFailureError from the
+    # solver: tol 0 or NaN runs the whole budget, a negative budget "did not
+    # converge", and a NaN epsilon leaves the kernel's floating-point range.
+    with pytest.raises(InvalidArgumentError, match=field):
+        MetricConfig(**{field: value})
 
 
 def test_sinkhorn_kernel_that_left_the_float_range_raises():
@@ -145,7 +170,14 @@ def test_sinkhorn_kernel_that_left_the_float_range_raises():
         metrics._absorbed_sums(np.array([[0.0, 0.0], [1.0, 2.0]]), 0.1)
 
 
-TWO_SAMPLE_METRICS = [metrics.sinkhorn_divergence, metrics.mmd_rbf, metrics.rmse_means, metrics.deg_stats]
+TWO_SAMPLE_METRICS = [
+    metrics.sinkhorn_divergence,
+    metrics.mmd_rbf,
+    metrics.rmse_means,
+    metrics.deg_stats,
+    metrics.variance_correlation,
+    metrics.transposed_rank,
+]
 
 
 @pytest.mark.parametrize("metric", TWO_SAMPLE_METRICS, ids=lambda f: f.__name__)
@@ -167,6 +199,27 @@ def test_two_sample_metrics_reject_zero_gene_samples(metric):
     # the others 0.0.
     with pytest.raises(InvalidArgumentError, match="non-empty"):
         metric(np.zeros((3, 0)), np.zeros((3, 0)))
+
+
+@NON_FINITE
+@pytest.mark.parametrize("metric", TWO_SAMPLE_METRICS, ids=lambda f: f.__name__)
+def test_two_sample_metrics_reject_non_finite_samples(metric, bad):
+    # Without the check mmd_rbf and rmse_means returned NaN, deg_stats raised
+    # scipy's ValueError and sinkhorn_divergence NumericalFailureError.
+    for side in range(2):
+        samples = [RNG.standard_normal((5, 3)), RNG.standard_normal((5, 3))]
+        samples[side][1, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            metric(*samples)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_magnitude_ratio_rejects_a_non_finite_sample(position, bad):
+    samples = [RNG.standard_normal((6, 2)) + shift for shift in (0.0, 2.0, 1.0)]
+    samples[position][2, 1] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        metrics.magnitude_ratio(*samples)
 
 
 @pytest.mark.parametrize("cells", [(1, 1), (1, 5), (5, 1)])
@@ -414,6 +467,38 @@ def test_auprc_bounds_on_random_instances():
         scores = rng.uniform(size=12)
         curve = metrics.auprc_curve(scores, labels)
         assert 0.0 <= curve.auprc <= 1.0
+
+
+def test_auprc_sweep_matches_the_per_threshold_reference():
+    # The sorted sweep must give the reference's floats exactly: tied and
+    # zero scores (deg_scores gates insignificant genes to 0), and rankings
+    # with a single positive.
+    rng = np.random.default_rng(77)
+    for trial in range(400):
+        k = int(rng.integers(1, 30))
+        scores = [
+            rng.integers(0, 4, size=k).astype(float),
+            rng.uniform(size=k) * (rng.uniform(size=k) < 0.5),
+            np.round(rng.standard_normal(k), 1),
+            rng.uniform(size=k),
+        ][trial % 4]
+        labels = rng.integers(0, 2, size=k)
+        if trial % 3 == 0 or labels.sum() == 0:
+            labels[:] = 0
+            labels[rng.integers(0, k)] = 1
+        got = metrics.auprc_curve(scores, labels)
+        want = ref_auprc_curve(scores, labels)
+        np.testing.assert_array_equal(got.recalls, want.recalls)
+        np.testing.assert_array_equal(got.precisions, want.precisions)
+        assert got.auprc == want.auprc
+        assert got.baseline_rate == want.baseline_rate
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_auprc_rejects_non_finite_scores(bad):
+    # Without the check a NaN score gave an AUPRC of 0.25.
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        metrics.auprc_curve(np.array([0.9, bad, 0.1, 0.0]), np.array([1, 0, 1, 0]))
 
 
 def test_auprc_requires_positive_labels():
