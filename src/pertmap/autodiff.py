@@ -3,24 +3,24 @@
 A :class:`Tensor` wraps an ndarray and records the operations applied to it;
 ``backward`` replays the tape in reverse topological order and accumulates
 gradients into every tensor with ``requires_grad``.  The primitive set is
-exactly what the transformer needs beyond its fused layers (see
+exactly what the transformer composes around its fused layers (see
 :mod:`pertmap.layers`): ``add``, ``sub`` and ``mul`` with numpy
-broadcasting, ``matmul`` (with batched leading dimensions), ``sigmoid``,
-``sum_`` and ``mean``, ``reshape``, ``transpose``, basic-index ``take``, and
-``concat``.
+broadcasting, ``sum_`` and ``mean``, basic-index ``take``, and ``concat``.
 
 Every primitive builds its output through :func:`_make`, from the result
 array and one ``(operand, vjp)`` pair per operand, where ``vjp`` maps the
-output's gradient to that operand's.  ``_make`` keeps only the operands on
-the tape (parameters and results of recorded ops), so the backward sweep
-never computes a gradient that nothing reads.
+output's gradient to that operand's.  A fused node whose operands'
+gradients share their work builds it through :func:`_make_joint` instead,
+from one backward that returns them all.  Both keep only the operands on
+the tape (parameters and results of recorded ops) as parents, and
+``_make`` never computes a gradient that nothing reads.
 
 The graph runs in the dtype of its parameters: float32 for training,
 float64 for gradient checks, where central finite differences are
 trustworthy.  A constant (a Python or numpy scalar, or an ndarray) combined
-with a Tensor by ``add``, ``sub``, ``mul`` or ``matmul`` takes that
-Tensor's dtype, so constants and input data never widen the graph; two
-Tensors keep numpy's promotion.
+with a Tensor by ``add``, ``sub`` or ``mul`` takes that Tensor's dtype, so
+constants and input data never widen the graph; two Tensors keep numpy's
+promotion.
 """
 
 from __future__ import annotations
@@ -164,9 +164,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
 
@@ -175,17 +172,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, axes: tuple[int, ...]):
-        return transpose(self, axes)
-
-    def swapaxes(self, a: int, b: int):
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return transpose(self, tuple(axes))
 
 
 def _wrap(data: np.ndarray) -> Tensor:
@@ -225,6 +211,18 @@ def _make(data: np.ndarray, vjps: Iterable[tuple[Tensor, Callable[[np.ndarray], 
     return out
 
 
+def _make_joint(data: np.ndarray, operands: list[Tensor], backward: Callable[[np.ndarray], list]) -> Tensor:
+    """Build an output tensor whose ``backward`` maps the output's gradient
+    to every operand's at once, in operand order; as in ``_make``, only the
+    operands on the tape become parents and receive theirs."""
+    on_tape = [p.requires_grad or p._backward is not None for p in operands]
+    out = _wrap(data)
+    if _grad_enabled and any(on_tape):
+        out._parents = tuple(p for p, live in zip(operands, on_tape) if live)
+        out._backward = lambda g: [(p, pg) for p, pg, live in zip(operands, backward(g), on_tape) if live]
+    return out
+
+
 # -- primitives -----------------------------------------------------------
 
 
@@ -255,25 +253,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise UnsupportedOperationError("matmul operands must have >= 2 dimensions")
-    return _make(
-        a.data @ b.data,
-        (
-            (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)),
-            (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
-        ),
-    )
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # Stable logistic via tanh.
-    data = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
-    return _make(data, ((a, lambda g: g * data * (1.0 - data)),))
-
-
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is not None and not keepdims:
@@ -293,18 +272,11 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    return _make(a.data.reshape(shape), ((a, lambda g: g.reshape(a.shape)),))
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = np.argsort(axes)
-    return _make(np.transpose(a.data, axes), ((a, lambda g: np.transpose(g, inverse)),))
-
-
 def take(a: Tensor, key) -> Tensor:
-    """Basic (slice/integer) indexing; advanced index arrays are unsupported."""
-    if isinstance(key, (np.ndarray, list, Tensor)):
+    """Basic (slice/integer) indexing; advanced index arrays are unsupported,
+    also inside a tuple key, where the vjp's assignment would drop repeated
+    indices' gradients."""
+    if any(isinstance(k, (np.ndarray, list, Tensor)) for k in (key if isinstance(key, tuple) else (key,))):
         raise UnsupportedOperationError("advanced indexing is not differentiable here")
 
     def vjp(g):

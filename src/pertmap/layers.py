@@ -9,9 +9,11 @@ There is no positional encoding anywhere; attention is permutation
 equivariant in the query rows and permutation invariant in the key/value
 rows (the latter up to floating-point summation order).
 
-``linear`` (with its bias), ``layer_norm``, ``gelu``, ``softmax`` and the
-FiLM modulation in ``film_modulate`` are fused: each records one tape node
-with a hand-written backward, built through ``autodiff._make``.
+``linear`` (with its bias), ``layer_norm``, ``gelu``, ``silu``, the FiLM
+modulation in ``film_modulate`` and the core of ``joint_attention`` (from
+the concatenated projections to the merged heads) are fused: each records
+one tape node with a hand-written backward.  ``joint_attention`` adds one
+``linear`` node per projection and one ``take`` per output slice.
 """
 
 from __future__ import annotations
@@ -60,7 +62,11 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    return x * ad.sigmoid(x)
+    """x * sigmoid(x), as one tape node."""
+    xd = x.data
+    s = 0.5 * (np.tanh(0.5 * xd) + 1.0)  # the logistic, stable for any x
+    # The product rule's two terms, summed in this order: another order rounds differently.
+    return ad._make(xd * s, ((x, lambda g: g * s + g * xd * s * (1 - s)),))
 
 
 def layer_norm(x: Tensor) -> Tensor:
@@ -79,15 +85,6 @@ def layer_norm(x: Tensor) -> Tensor:
         return inv_std * (g - g.mean(axis=-1, keepdims=True) - data * gy)
 
     return ad._make(data, ((x, vjp),))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` as one tape node; the backward is
-    y * (g - sum(g * y)), as in FlashAttention (Dao et al. 2022)."""
-    # Shifting by the max leaves softmax unchanged.
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    data = e / e.sum(axis=axis, keepdims=True)
-    return ad._make(data, ((x, lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True))),))
 
 
 def film_modulate(x: Tensor, time_embedding: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -126,11 +123,6 @@ class AttentionParams:
     bo: Optional[Tensor]
 
 
-def _split_heads(x: Tensor, heads: int, head_dim: int) -> Tensor:
-    tokens = x.shape[0]
-    return x.reshape((tokens, heads, head_dim)).transpose((1, 0, 2))
-
-
 def joint_attention(
     streams: Sequence[Tensor],
     params: Sequence[AttentionParams],
@@ -159,23 +151,44 @@ def joint_attention(
         )
 
     querying = [(s, p) for s, p in zip(streams, params) if p.wq is not None]
-    q = ad.concat([linear(s, p.wq, p.bq) for s, p in querying], axis=0)
-    k = ad.concat([linear(s, p.wk, p.bk) for s, p in zip(streams, params)], axis=0)
-    v = ad.concat([linear(s, p.wv, p.bv) for s, p in zip(streams, params)], axis=0)
+    if not querying:
+        raise InvalidArgumentError("at least one stream needs a query projection")
+    qs = [linear(s, p.wq, p.bq) for s, p in querying]
+    ks = [linear(s, p.wk, p.bk) for s, p in zip(streams, params)]
+    vs = [linear(s, p.wv, p.bv) for s, p in zip(streams, params)]
 
-    qh = _split_heads(q, heads, head_dim)  # (heads, tokens, head_dim)
-    kh = _split_heads(k, heads, head_dim)
-    vh = _split_heads(v, heads, head_dim)
+    # One tape node from the concatenated projections to the merged heads; the
+    # softmax backward is y * (g - sum(g * y)), as in FlashAttention (Dao et al. 2022).
+    q, k, v = (np.concatenate([t.data for t in group], axis=0) for group in (qs, ks, vs))
+    qh, kh, vh = (np.transpose(x.reshape((x.shape[0], heads, head_dim)), (1, 0, 2)) for x in (q, k, v))
+    kt = np.transpose(kh, (0, 2, 1))
+    raw = qh @ kt
+    scale = np.asarray(1.0 / np.sqrt(head_dim), dtype=raw.dtype)
+    scores = raw * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))  # the shift leaves softmax unchanged
+    weights = e / e.sum(axis=-1, keepdims=True)
+    per_token = np.transpose(weights @ vh, (1, 0, 2))  # (queries, heads, head_dim)
 
-    scores = (qh @ kh.swapaxes(1, 2)) * (1.0 / np.sqrt(head_dim))
-    weights = softmax(scores, axis=-1)
-    mixed = weights @ vh  # (heads, tokens, head_dim)
-    merged = mixed.transpose((1, 0, 2)).reshape((q.shape[0], width))
+    def backward(g):
+        d_mixed = np.transpose(g.reshape(per_token.shape), (1, 0, 2))
+        d_weights = d_mixed @ np.swapaxes(vh, -1, -2)
+        d_vh = np.swapaxes(weights, -1, -2) @ d_mixed
+        d_raw = (weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))) * scale
+        d_qh = d_raw @ np.swapaxes(kt, -1, -2)
+        d_kh = np.transpose(np.swapaxes(qh, -1, -2) @ d_raw, (0, 2, 1))
+        grads = []
+        for group, x, d in zip((qs, ks, vs), (q, k, v), (d_qh, d_kh, d_vh)):
+            d = np.transpose(d, (1, 0, 2)).reshape(x.shape)
+            grads += np.split(d, np.cumsum([t.shape[0] for t in group[:-1]]))
+        return grads
 
-    outputs = []
-    start = 0
+    # Parents: all queries, then all keys, then all values, each in stream order.  Tensor.backward's
+    # depth-first sweep then sums each stream's gradient terms as (q + k) + v, and in the order of
+    # every other sum upstream; another order rounds differently and changes the trained weights.
+    merged = ad._make_joint(per_token.reshape((q.shape[0], width)), [*qs, *ks, *vs], backward)
+
+    outputs, start = [], 0
     for s, p in querying:
-        stop = start + s.shape[0]
-        outputs.append(linear(merged[start:stop], p.wo, p.bo))
-        start = stop
+        outputs.append(linear(merged[start : start + s.shape[0]], p.wo, p.bo))
+        start += s.shape[0]
     return outputs

@@ -327,11 +327,14 @@ def auprc_curve(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
     Genes enter in descending score order, tied genes together: one point
     per distinct score, predicting the genes that score at least that much.
     The area is the rectangular integral over recall, summed left to right.
+    Labels are 0 or 1, as numbers or booleans.
     """
     scores = np.asarray(scores, dtype=float).ravel()
-    labels = np.asarray(labels).astype(bool).ravel()
+    labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise InvalidArgumentError("scores and labels must align")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise InvalidArgumentError("labels must be 0 or 1")
     if not np.all(np.isfinite(scores)):
         raise InvalidArgumentError("scores must be finite")
     positives = int(labels.sum())

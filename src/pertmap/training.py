@@ -50,6 +50,10 @@ class TrainConfig:
             raise InvalidArgumentError("total_steps must be >= 1")
         if self.batch_size < 1:
             raise InvalidArgumentError("batch_size must be >= 1")
+        if not (math.isfinite(self.peak_lr) and self.peak_lr > 0):
+            raise InvalidArgumentError(f"peak_lr must be finite and positive, got {self.peak_lr}")
+        if not 0.0 <= self.ema_decay <= 1.0:
+            raise InvalidArgumentError(f"ema_decay must lie in [0, 1], got {self.ema_decay}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,10 @@ class GuidanceConfig:
     1e-3, atol 1e-4 and 2000 accepted steps."""
 
     omega: float = 2.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.omega):
+            raise InvalidArgumentError(f"omega must be finite, got {self.omega}")
 
 
 @dataclass

@@ -61,9 +61,11 @@ def check_grads(build: Callable[[list[Tensor]], "Tensor"], arrays: list[np.ndarr
 
 # -- unfused references -----------------------------------------------------
 #
-# Each fused node of ``pertmap.layers`` rebuilt from the engine's generic
-# primitives plus elementwise nodes, the way the layers were composed before
-# they were fused.
+# Each fused node of ``pertmap.layers`` rebuilt from generic tape nodes, the
+# way the layers were composed before they were fused.  ``matmul``,
+# ``reshape``, ``transpose``, ``softmax`` and ``sigmoid`` are the nodes that
+# joint attention and SiLU chained before they were fused, with their
+# backward expressions.
 
 
 def pointwise(x: Tensor, f: Callable[[np.ndarray], np.ndarray], df: Callable[[np.ndarray], np.ndarray]) -> Tensor:
@@ -71,8 +73,36 @@ def pointwise(x: Tensor, f: Callable[[np.ndarray], np.ndarray], df: Callable[[np
     return ad._make(f(x.data), ((x, lambda g: g * df(x.data)),))
 
 
+def matmul(a, b) -> Tensor:
+    """a @ b with batched leading dimensions; a constant takes the Tensor's dtype."""
+    a, b = ad._operands(a, b)
+    return ad._make(
+        a.data @ b.data,
+        (
+            (a, lambda g: ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)),
+            (b, lambda g: ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
+        ),
+    )
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    return ad._make(a.data.reshape(shape), ((a, lambda g: g.reshape(a.shape)),))
+
+
+def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
+    inverse = np.argsort(axes)
+    return ad._make(np.transpose(a.data, axes), ((a, lambda g: np.transpose(g, inverse)),))
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax along the last axis, with the backward y * (g - sum(g * y))."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    data = e / e.sum(axis=-1, keepdims=True)
+    return ad._make(data, ((x, lambda g: data * (g - (g * data).sum(axis=-1, keepdims=True))),))
+
+
 def ref_linear(x, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = ad.matmul(x, w)
+    out = matmul(x, w)
     return out + b if b is not None else out
 
 
@@ -81,23 +111,52 @@ def ref_gelu(x: Tensor) -> Tensor:
     return x * (inner + 1.0) * 0.5
 
 
+def sigmoid(x: Tensor) -> Tensor:
+    """The logistic, stable for any x, as a tape node."""
+    data = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
+    return ad._make(data, ((x, lambda g: g * data * (1.0 - data)),))
+
+
+def ref_silu(x: Tensor) -> Tensor:
+    return x * sigmoid(x)
+
+
 def ref_layer_norm(x: Tensor) -> Tensor:
     centered = x - x.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered * pointwise(var + layers._LN_EPS, lambda v: 1.0 / np.sqrt(v), lambda v: -0.5 * v**-1.5)
 
 
-def ref_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    e = pointwise(x - x.data.max(axis=axis, keepdims=True), np.exp, np.exp)
-    return e * pointwise(e.sum(axis=axis, keepdims=True), lambda v: 1.0 / v, lambda v: -1.0 / (v * v))
-
-
 def ref_film_modulate(x: Tensor, time_embedding: Tensor, w: Tensor, b: Tensor) -> Tensor:
     width = x.shape[-1]
     if time_embedding.ndim == 1:
-        time_embedding = time_embedding.reshape((1, time_embedding.shape[0]))
+        time_embedding = reshape(time_embedding, (1, time_embedding.shape[0]))
     gb = ref_linear(time_embedding, w, b)
     return x * (gb[..., :width] + 1.0) + gb[..., width:]
+
+
+def ref_joint_attention(streams, params, heads: int, head_dim: int) -> list[Tensor]:
+    """``layers.joint_attention`` as the chain of per-head nodes it was.
+
+    The projections are ``layers.linear`` nodes, looked up when called, so
+    that a test can patch them too."""
+    querying = [(s, p) for s, p in zip(streams, params) if p.wq is not None]
+    q = ad.concat([layers.linear(s, p.wq, p.bq) for s, p in querying], axis=0)
+    k = ad.concat([layers.linear(s, p.wk, p.bk) for s, p in zip(streams, params)], axis=0)
+    v = ad.concat([layers.linear(s, p.wv, p.bv) for s, p in zip(streams, params)], axis=0)
+
+    def split_heads(x: Tensor) -> Tensor:
+        return transpose(reshape(x, (x.shape[0], heads, head_dim)), (1, 0, 2))
+
+    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
+    scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(head_dim))
+    mixed = matmul(softmax(scores), vh)
+    merged = reshape(transpose(mixed, (1, 0, 2)), (q.shape[0], heads * head_dim))
+    outputs, start = [], 0
+    for s, p in querying:
+        outputs.append(layers.linear(merged[start : start + s.shape[0]], p.wo, p.bo))
+        start += s.shape[0]
+    return outputs
 
 
 # -- precision-recall reference ----------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from helpers import check_grads
 
 from pertmap import autodiff as ad
+from pertmap import layers
 from pertmap.autodiff import ParameterSet, Tensor
 from pertmap.errors import InvalidArgumentError, UnsupportedOperationError
 
@@ -35,39 +36,18 @@ def test_add_sub_mul_with_broadcasting():
     check_grads(lambda ts: ((ts[0] - ts[1]) * ts[1]).sum(), [a, b.copy()])
 
 
-def test_pointwise_nonlinearities():
-    a = _arr(6)
-    check_grads(lambda ts: ad.sigmoid(ts[0]).sum(), [a.copy()])
-
-
-def test_matmul_2d_and_batched():
-    a, b = _arr(4, 3), _arr(3, 5)
-    check_grads(lambda ts: (ts[0] @ ts[1]).sum(), [a, b])
-    # Batched: (2, 4, 3) @ (2, 3, 5), and broadcast (2, 4, 3) @ (3, 5).
-    ab, bb = _arr(2, 4, 3), _arr(2, 3, 5)
-    check_grads(lambda ts: _sq(ts[0] @ ts[1]).sum(), [ab, bb])
-    check_grads(lambda ts: _sq(ts[0] @ ts[1]).sum(), [ab, b])
-
-
 def test_constants_take_the_tensor_dtype():
     x = Tensor(np.ones((2, 2), dtype=np.float32))
-    outs = [x + 1.0, 1.0 - x, x * np.float64(0.5), 2.0 * x, x @ np.eye(2), ad.matmul(np.eye(2), x), x.mean()]
+    outs = [x + 1.0, 1.0 - x, x * np.float64(0.5), 2.0 * x, x - np.ones(2), x.mean()]
     assert all(out.dtype == np.float32 for out in outs)
     # Two Tensors keep numpy's promotion.
     assert (x + Tensor(np.ones(2))).dtype == np.float64
 
 
-def test_matmul_rejects_vectors():
-    with pytest.raises(UnsupportedOperationError):
-        ad.matmul(Tensor(_arr(3)), Tensor(_arr(3, 2)))
-
-
-def test_reductions_and_reshape_transpose():
+def test_reductions():
     a = _arr(3, 4, 2)
     check_grads(lambda ts: ts[0].sum(axis=1).sum(), [a])
     check_grads(lambda ts: _sq(ts[0].mean(axis=(0, 2))).sum(), [a])
-    check_grads(lambda ts: _sq(ts[0].reshape((6, 4))).sum(), [a])
-    check_grads(lambda ts: (_sq(ts[0].transpose((2, 0, 1))) * ts[0].transpose((2, 0, 1))).sum(), [a])
 
 
 def test_slicing_and_concat():
@@ -78,8 +58,12 @@ def test_slicing_and_concat():
 
 
 def test_advanced_indexing_is_unsupported():
-    with pytest.raises(UnsupportedOperationError):
-        Tensor(_arr(4))[np.array([0, 1])]
+    # Index arrays inside a tuple key too: there a repeated index got one
+    # gradient term, not two.
+    x = Tensor(_arr(4, 3))
+    for key in [np.array([0, 1]), [0, 1], (np.array([0, 0, 2]),), (slice(None), [0, 0]), (Ellipsis, Tensor(np.zeros(1)))]:
+        with pytest.raises(UnsupportedOperationError):
+            x[key]
 
 
 def test_grad_accumulates_through_shared_subexpressions():
@@ -105,9 +89,9 @@ def test_no_grad_skips_tape():
 def test_forward_is_pure_and_deterministic():
     a = _arr(8, 8)
     x = Tensor(a)
-    y1 = (ad.sigmoid(x @ x) * 2.0).data.copy()
-    y2 = (ad.sigmoid(x @ x) * 2.0).data.copy()
-    assert np.array_equal(y1, y2)
+    y1 = (ad.concat([x, x * x]).mean(axis=0) * 2.0).data.copy()
+    y2 = (ad.concat([x, x * x]).mean(axis=0) * 2.0).data.copy()
+    assert np.array_equal(y1, y2) and np.array_equal(x.data, a)
 
 
 def test_parameter_set_order_and_uniqueness():
@@ -131,19 +115,18 @@ def test_parameter_tensors_are_views_of_the_flat_arrays():
     assert np.shares_memory(w.grad, ps.grad) and np.shares_memory(b.grad, ps.grad)
     w.data[0, 1] = 3.0
     assert ps.values[1] == 3.0
-    x = Tensor(np.array([[3.0], [4.0]]))
+    x = np.array([[3.0], [4.0]])
     for _ in range(2):  # gradients accumulate across backward calls
-        (w @ x + b).sum().backward()
-    assert np.array_equal(ps.grad, [12.0, 16.0, 2.0, 2.0])
-    assert np.array_equal(w.grad, [[12.0, 16.0]])
+        (layers.linear(x, w, b) * np.eye(2)).sum().backward()
+    assert np.array_equal(ps.grad, [6.0, 8.0, 2.0, 2.0])
+    assert np.array_equal(w.grad, [[6.0, 8.0]])
     ps.zero_grads()
     assert not np.any(ps.grad) and not np.any(b.grad)
 
 
 def test_grad_collects_over_parameter_set():
-    ps = ParameterSet([("w", (1, 2))], np.array([1.0, 2.0]))
-    x = Tensor(np.array([[3.0], [4.0]]))
-    loss = (ps["w"] @ x).sum()
+    ps = ParameterSet([("w", (2, 1))], np.array([1.0, 2.0]))
+    loss = layers.linear(np.array([[3.0, 4.0]]), ps["w"]).sum()
     for _ in range(2):  # zero_grads clears, so the second pass does not accumulate
         ps.zero_grads()
         loss.backward()

@@ -70,12 +70,6 @@ def test_gelu_silu_gradcheck():
     check_grads(lambda ts: layers.silu(ts[0]).sum(), [x])
 
 
-def test_softmax_rows_sum_to_one():
-    x = Tensor(RNG.standard_normal((7, 11)) * 5.0)
-    out = layers.softmax(x).data
-    assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
-
-
 def test_film_zero_init_is_identity():
     width, twidth = 6, 4
     x = Tensor(RNG.standard_normal((3, width)))
@@ -189,6 +183,8 @@ def test_joint_attention_key_value_only_stream():
     assert np.allclose(out[0].data, full[0].data, atol=1e-12)
     alone = layers.joint_attention([a], ps[:1], heads, hd)
     assert not np.allclose(out[0].data, alone[0].data, atol=1e-3)
+    with pytest.raises(InvalidArgumentError, match="query"):
+        layers.joint_attention([b], [kv_only], heads, hd)
 
 
 def test_joint_attention_width_mismatch_rejected():

@@ -501,6 +501,22 @@ def test_auprc_rejects_non_finite_scores(bad):
         metrics.auprc_curve(np.array([0.9, bad, 0.1, 0.0]), np.array([1, 0, 1, 0]))
 
 
+@pytest.mark.parametrize("labels", [[math.nan, 0, 0], [2, -1, 0], [0.5, 1, 0]], ids=["nan", "2-and-minus-1", "half"])
+def test_auprc_rejects_labels_outside_zero_one(labels):
+    # Cast to bool, [nan, 0, 0] gave an AUPRC of 1.0 and [2, -1, 0] a
+    # baseline rate of 2/3.
+    with pytest.raises(InvalidArgumentError, match="labels"):
+        metrics.auprc_curve(np.array([0.9, 0.5, 0.2]), np.array(labels))
+
+
+@pytest.mark.parametrize("dtype", [bool, float])
+def test_auprc_accepts_boolean_and_float_labels(dtype):
+    # The hand case of test_auprc_spec_hand_case.
+    curve = metrics.auprc_curve(np.array([0.9, 0.8, 0.1, 0.0]), np.array([1, 0, 1, 0], dtype=dtype))
+    assert curve.auprc == pytest.approx(0.5 * 1.0 + 0.5 * (2.0 / 3.0))
+    assert curve.baseline_rate == pytest.approx(0.5)
+
+
 def test_auprc_requires_positive_labels():
     with pytest.raises(UndefinedMetricError):
         metrics.auprc_curve(np.ones(4), np.zeros(4))

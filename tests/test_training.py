@@ -105,6 +105,31 @@ def test_train_config_rejects_a_batch_size_below_one():
         tr.TrainConfig(total_steps=1, batch_size=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ema_decay", 2.0),
+        ("ema_decay", -1.0),
+        ("ema_decay", math.nan),
+        ("peak_lr", -1e-3),
+        ("peak_lr", 0.0),
+        ("peak_lr", math.nan),
+        ("peak_lr", math.inf),
+        ("omega", math.nan),
+        ("omega", math.inf),
+        ("omega", -math.inf),
+    ],
+)
+def test_configs_reject_values_the_loop_cannot_use(field, value):
+    # Unchecked, ema_decay=2 trained to EMA weights of 2e5, and a NaN
+    # peak_lr or omega surfaced later as a non-finite loss or ODE field.
+    with pytest.raises(InvalidArgumentError, match=field):
+        if field == "omega":
+            tr.GuidanceConfig(omega=value)
+        else:
+            tr.TrainConfig(total_steps=1, **{field: value})
+
+
 def test_cfm_loss_shape_mismatch_rejected():
     params = mdl.build_model(MICRO_CFG, seed=0)
     bundle = _micro_bundle(np.random.default_rng(3))
