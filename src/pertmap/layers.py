@@ -1,7 +1,12 @@
 """Differentiable building blocks: linear maps, affine-free layer norm,
 softmax attention over concatenated token streams, and FiLM time modulation.
 
-Token matrices are (tokens, width).  Joint attention projects each stream
+Token matrices are (tokens, width), or (bundles, tokens, width) for a stack
+of bundles that run as one graph; every layer treats each bundle's slice as
+it treats a lone matrix, with the same numpy expression per slice, so a
+stacked result equals the per-bundle ones bit for bit.  ``linear`` hands a
+stacked weight and bias gradient, one per bundle, back to the tape (see
+:mod:`pertmap.autodiff`).  Joint attention projects each stream
 with its own K/V parameters, and each stream that has Q/O parameters with
 its own Q: those streams' queries attend over the concatenation of all
 streams' keys, and their results get per-stream output projections.
@@ -34,15 +39,16 @@ _GELU_A = 0.044715
 
 def linear(x: Tensor | np.ndarray, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """x @ w + b with w of shape (in_width, out_width), as one tape node; x is
-    a Tensor or an input array, which takes w's dtype."""
+    a Tensor or an input array, which takes w's dtype.  On a stack of token
+    matrices, w and b get one gradient per bundle."""
     xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=w.dtype)
     data = xd @ w.data
     if b is not None:
         data += b.data
-    out_width = data.shape[-1]
-    vjps = [(w, lambda g: xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, out_width))]
+    xm = xd[None] if xd.ndim == 1 else xd  # a lone vector is one token
+    vjps = [(w, lambda g: np.swapaxes(xm, -1, -2) @ (g[None] if g.ndim == 1 else g))]
     if b is not None:
-        vjps.append((b, lambda g: g.reshape(-1, out_width).sum(axis=0)))
+        vjps.append((b, lambda g: g if g.ndim == 1 else g.sum(axis=-2)))
     if isinstance(x, Tensor):
         vjps.append((x, lambda g: g @ w.data.T))
     return ad._make(data, vjps)
@@ -135,20 +141,26 @@ def joint_attention(
     streams with a query projection are projected to queries, which attend
     jointly over all keys.  Their outputs are split back and passed through
     per-stream output projections, and returned in stream order: one per
-    stream with a query projection.  Streams may have zero tokens.
+    stream with a query projection.  Streams may have zero tokens, as long
+    as some stream has one; all streams share their leading (bundle) axes.
     """
     if len(streams) != len(params):
         raise InvalidArgumentError("one parameter group per stream is required")
     width = heads * head_dim
-    for s in streams:
-        if s.shape[-1] != params[0].wk.shape[0]:
-            raise InvalidArgumentError(
-                f"stream width {s.shape[-1]} does not match projection input {params[0].wk.shape[0]}"
-            )
-    if params[0].wk.shape[1] != width:
-        raise InvalidArgumentError(
-            f"projection output {params[0].wk.shape[1]} does not equal heads*head_dim={width}"
-        )
+    for i, (s, p) in enumerate(zip(streams, params)):
+        if s.ndim < 2 or s.shape[:-2] != streams[0].shape[:-2]:
+            raise InvalidArgumentError(f"stream {i} of shape {s.shape} is not a token matrix like stream 0's")
+        if (p.wq is None) != (p.wo is None):
+            raise InvalidArgumentError(f"stream {i} needs both a query and an output projection, or neither")
+        n = s.shape[-1]
+        expected = dict(wq=(n, width), wk=(n, width), wv=(n, width), wo=(width, n))
+        expected.update(bq=(width,), bk=(width,), bv=(width,), bo=(n,))
+        for name, shape in expected.items():
+            t = getattr(p, name)
+            if t is not None and t.shape != shape:
+                raise InvalidArgumentError(f"stream {i}'s {name} has shape {t.shape}, expected {shape}")
+    if not any(s.shape[-2] for s in streams):
+        raise InvalidArgumentError("joint attention needs at least one key token")
 
     querying = [(s, p) for s, p in zip(streams, params) if p.wq is not None]
     if not querying:
@@ -159,36 +171,37 @@ def joint_attention(
 
     # One tape node from the concatenated projections to the merged heads; the
     # softmax backward is y * (g - sum(g * y)), as in FlashAttention (Dao et al. 2022).
-    q, k, v = (np.concatenate([t.data for t in group], axis=0) for group in (qs, ks, vs))
-    qh, kh, vh = (np.transpose(x.reshape((x.shape[0], heads, head_dim)), (1, 0, 2)) for x in (q, k, v))
-    kt = np.transpose(kh, (0, 2, 1))
+    # Heads go before tokens: (..., tokens, width) -> (..., heads, tokens, head_dim).
+    q, k, v = (np.concatenate([t.data for t in group], axis=-2) for group in (qs, ks, vs))
+    qh, kh, vh = (np.swapaxes(x.reshape(x.shape[:-1] + (heads, head_dim)), -3, -2) for x in (q, k, v))
+    kt = np.swapaxes(kh, -1, -2)
     raw = qh @ kt
     scale = np.asarray(1.0 / np.sqrt(head_dim), dtype=raw.dtype)
     scores = raw * scale
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))  # the shift leaves softmax unchanged
     weights = e / e.sum(axis=-1, keepdims=True)
-    per_token = np.transpose(weights @ vh, (1, 0, 2))  # (queries, heads, head_dim)
+    per_token = np.swapaxes(weights @ vh, -3, -2)  # (..., queries, heads, head_dim)
 
     def backward(g):
-        d_mixed = np.transpose(g.reshape(per_token.shape), (1, 0, 2))
+        d_mixed = np.swapaxes(g.reshape(per_token.shape), -3, -2)
         d_weights = d_mixed @ np.swapaxes(vh, -1, -2)
         d_vh = np.swapaxes(weights, -1, -2) @ d_mixed
         d_raw = (weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))) * scale
         d_qh = d_raw @ np.swapaxes(kt, -1, -2)
-        d_kh = np.transpose(np.swapaxes(qh, -1, -2) @ d_raw, (0, 2, 1))
+        d_kh = np.swapaxes(np.swapaxes(qh, -1, -2) @ d_raw, -1, -2)
         grads = []
         for group, x, d in zip((qs, ks, vs), (q, k, v), (d_qh, d_kh, d_vh)):
-            d = np.transpose(d, (1, 0, 2)).reshape(x.shape)
-            grads += np.split(d, np.cumsum([t.shape[0] for t in group[:-1]]))
+            d = np.swapaxes(d, -3, -2).reshape(x.shape)
+            grads += np.split(d, np.cumsum([t.shape[-2] for t in group[:-1]]), axis=-2)
         return grads
 
     # Parents: all queries, then all keys, then all values, each in stream order.  Tensor.backward's
     # depth-first sweep then sums each stream's gradient terms as (q + k) + v, and in the order of
     # every other sum upstream; another order rounds differently and changes the trained weights.
-    merged = ad._make_joint(per_token.reshape((q.shape[0], width)), [*qs, *ks, *vs], backward)
+    merged = ad._make_joint(per_token.reshape(q.shape[:-1] + (width,)), [*qs, *ks, *vs], backward)
 
     outputs, start = [], 0
     for s, p in querying:
-        outputs.append(linear(merged[start : start + s.shape[0]], p.wo, p.bo))
-        start += s.shape[0]
+        outputs.append(linear(merged[..., start : start + s.shape[-2], :], p.wo, p.bo))
+        start += s.shape[-2]
     return outputs

@@ -16,13 +16,20 @@ The output is the velocity read from the non-register tokens of stream 0,
 so the last block updates stream 0 only: there streams 1 and 2 give keys
 and values and have no query, output or feed-forward parameters (as the
 context stream of SD3's last MM-DiT block, Esser et al. 2024).
+
+``forward`` also runs a stack of same-shaped bundles as one graph.  Then
+every token matrix carries a leading bundle axis, each bundle has its own
+time embedding, and the parameters that enter as tokens (the registers and
+the null row of the role table) are repeated per bundle by
+``autodiff.stacked``; each bundle's slice of the result equals its own
+forward bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -164,8 +171,9 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
     return params
 
 
-def _time_embedding(params: ParameterSet, tau: float) -> Tensor:
-    h = silu(linear(np.array([[tau]]), params["time.l1.w"], params["time.l1.b"]))
+def _time_embedding(params: ParameterSet, taus: np.ndarray) -> Tensor:
+    """One (1, time_dim) embedding row per tau, behind the taus' axes."""
+    h = silu(linear(taus.reshape(taus.shape + (1, 1)), params["time.l1.w"], params["time.l1.b"]))
     return linear(h, params["time.l2.w"], params["time.l2.b"])
 
 
@@ -179,44 +187,74 @@ def forward(
     params: ParameterSet,
     cfg: ModelConfig,
     y_tau: np.ndarray,
-    tau: float,
-    bundle: ExperimentBundle,
+    tau: float | Sequence[float],
+    bundle: ExperimentBundle | Sequence[ExperimentBundle],
     drop_condition: bool = False,
 ) -> Tensor:
     """Velocity prediction for the M query cells ``y_tau`` (M, d) noised to
-    time ``tau``, shape (M, d)."""
-    d = cfg.max_genes
-    if y_tau.ndim != 2 or y_tau.shape[1] != d:
-        raise InvalidArgumentError(f"query shape {y_tau.shape} does not match gene count {d}")
-    if bundle.k > cfg.max_context:
-        raise InvalidArgumentError(f"context size {bundle.k} exceeds max_context {cfg.max_context}")
-    batches = [bundle.y_obs] + [batch for _, batch in bundle.context]
-    codes = [code for code, _ in bundle.context] + [bundle.query_code]
-    if any(b.ndim != 2 or b.shape[1] != d for b in batches) or any(c.shape != (d,) for c in codes):
-        raise InvalidArgumentError("bundle shapes do not match the configured gene count")
-    slots = np.asarray(bundle.slots(), dtype=np.intp)
-    if slots.shape != (bundle.k,) or np.any((slots < 0) | (slots >= cfg.max_context)):
-        raise InvalidArgumentError(
-            f"context slots {bundle.slots()} do not place {bundle.k} experiments in 0..{cfg.max_context - 1}"
-        )
-    m = y_tau.shape[0]
+    time ``tau``, shape (M, d).
 
-    temb = _time_embedding(params, tau)
+    A stack of B bundles runs as one graph: ``bundle`` is then a sequence
+    of B bundles whose observations and context batches share their shapes,
+    ``tau`` holds B times, ``y_tau`` is (B, M, d), and so is the result.
+    Every token matrix then carries the leading bundle axis, and each
+    bundle's slice equals that bundle's own forward bit for bit.  A single
+    bundle runs the same code with no bundle axis.
+    """
+    single = isinstance(bundle, ExperimentBundle)
+    bundles = (bundle,) if single else tuple(bundle)
+    lead = () if single else (len(bundles),)
+    taus = np.asarray(tau, dtype=float)
+    y = np.asarray(y_tau)
+    d = cfg.max_genes
+    if not bundles or y.shape[:-2] != lead or y.ndim != len(lead) + 2 or y.shape[-1] != d:
+        raise InvalidArgumentError(f"query shape {y.shape} does not match bundle axes {lead} and gene count {d}")
+    if taus.shape != lead or not np.all(np.isfinite(taus)):
+        raise InvalidArgumentError(f"tau {tau} is not one finite time per bundle")
+    sizes = None  # rows of the observations and of each context batch, shared by a stack
+    for b in bundles:
+        if b.k > cfg.max_context:
+            raise InvalidArgumentError(f"context size {b.k} exceeds max_context {cfg.max_context}")
+        batches = [b.y_obs] + [batch for _, batch in b.context]
+        codes = [code for code, _ in b.context] + [b.query_code]
+        if any(x.ndim != 2 or x.shape[1] != d for x in batches) or any(c.shape != (d,) for c in codes):
+            raise InvalidArgumentError("bundle shapes do not match the configured gene count")
+        slots = np.asarray(b.slots(), dtype=np.intp)
+        if slots.shape != (b.k,) or np.any((slots < 0) | (slots >= cfg.max_context)):
+            raise InvalidArgumentError(
+                f"context slots {b.slots()} do not place {b.k} experiments in 0..{cfg.max_context - 1}"
+            )
+        if sizes is not None and [len(x) for x in batches] != sizes:
+            raise InvalidArgumentError("stacked bundles differ in their observation or context batch shapes")
+        sizes = [len(x) for x in batches]
+    n, m = len(bundles), y.shape[-2]
+
+    def as_tokens(t: Tensor) -> Tensor:
+        """A parameter that enters as tokens, once per bundle of a stack."""
+        return ad.stacked(t, n) if lead else t
+
+    temb = _time_embedding(params, taus)
     roles = params["emb.roles"]
-    streams = [
-        ad.concat([linear(y_tau, params["in.noise.w"], params["in.noise.b"]), params["emb.registers"]], axis=0)
-    ]
+    noise = linear(y, params["in.noise.w"], params["in.noise.b"])
+    streams = [ad.concat([noise, as_tokens(params["emb.registers"])], axis=-2)]
     if drop_condition:
-        streams.append(roles[_NULL:])
+        streams.append(as_tokens(roles)[..., _NULL:, :])
     else:
-        # Each token's role embedding is a 0/1 row of ``one_hot`` times the role table.
+        # Each token's role embedding is a 0/1 row of ``one_hot`` times the
+        # role table.  The inputs are built with a bundle axis, then given ``lead``.
         one_hot = np.eye(cfg.max_context + 4)
-        sizes = [len(batch) for batch in batches]
-        cell_roles = one_hot[np.repeat(np.append(_OBS, slots), sizes)]
-        cell_roles[sizes[0] :, _INT] = 1.0
-        cells = linear(np.concatenate(batches), params["in.cells.w"], params["in.cells.b"])
-        treats = linear(np.stack(codes), params["in.treat.w"], params["in.treat.b"])
-        streams += [cells + linear(cell_roles, roles), treats + linear(one_hot[np.append(slots, _QUERY)], roles)]
+        slots = np.array([b.slots() for b in bundles], dtype=np.intp)
+        cell_roles = one_hot[np.repeat(np.concatenate([np.full((n, 1), _OBS), slots], axis=1), sizes, axis=1)]
+        cell_roles[:, sizes[0] :, _INT] = 1.0
+        treat_roles = one_hot[np.concatenate([slots, np.full((n, 1), _QUERY)], axis=1)]
+        cells = np.stack([np.concatenate([b.y_obs] + [batch for _, batch in b.context]) for b in bundles])
+        codes = np.stack([np.stack([code for code, _ in b.context] + [b.query_code]) for b in bundles])
+        cell_roles, treat_roles, cells, codes = (
+            x.reshape(lead + x.shape[1:]) for x in (cell_roles, treat_roles, cells, codes)
+        )
+        cells = linear(cells, params["in.cells.w"], params["in.cells.b"])
+        treats = linear(codes, params["in.treat.w"], params["in.treat.b"])
+        streams += [cells + linear(cell_roles, roles), treats + linear(treat_roles, roles)]
 
     for layer in range(cfg.layers):
         stream_names = _STREAMS[: len(streams)]
@@ -246,5 +284,5 @@ def forward(
             updated.append(x + h)
         streams = updated
 
-    head = film_modulate(layer_norm(streams[0][:m]), temb, params["final.film.w"], params["final.film.b"])
+    head = film_modulate(layer_norm(streams[0][..., :m, :]), temb, params["final.film.w"], params["final.film.b"])
     return linear(head, params["out.w"], params["out.b"])

@@ -9,6 +9,16 @@ guidance is defined at sampling time.  AdamW with a warmup-stable-decay
 schedule updates the weights; an exponential moving average of the weights
 is what inference uses.
 
+A step runs its bundles as stacked graphs: each run of consecutive bundles
+with the same drop flag and shapes, at most STACK_BUNDLES long, is one
+forward and one backward.  This is bit-identical to one graph per bundle:
+every loss, gradient, trained weight and EMA weight is equal.  It holds
+because a stacked matmul and every reduction over a stack's token or last
+axis equal their per-bundle counterparts, because the stacks run in draw
+order, and because a parameter adds a stack's gradients one bundle at a
+time (see :mod:`pertmap.autodiff`), so each parameter's gradient sums its
+bundles in the same order.
+
 Generation integrates dY/dtau = v_u + omega * (v_c - v_u) from tau=0
 (standard normal) to tau=1 with scipy's adaptive Dormand-Prince solver (RK45).
 """
@@ -17,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +45,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
+# Bundles per stacked training graph at most.  This is a memory bound: each
+# conditioned bundle in a stack holds about 3 MB of saved activations at
+# toy width while the stack's graph lives.
+STACK_BUNDLES = 3
 
 
 @dataclass(frozen=True)
@@ -102,26 +116,39 @@ def wsd_lr(step: int, cfg: TrainConfig) -> float:
 def cfm_loss(
     params: ParameterSet,
     model_cfg: ModelConfig,
-    bundle: ExperimentBundle,
-    tau: float,
+    bundle: ExperimentBundle | Sequence[ExperimentBundle],
+    tau: float | Sequence[float],
     y0: np.ndarray,
     drop_condition: bool = False,
 ) -> Tensor:
     """Mean squared velocity error at the interpolated state.
 
     The state is (1 - tau) * Y0 + tau * target and the regression target is
-    target - Y0; the mean runs over all M * d entries.
+    target - Y0; the mean runs over all M * d entries.  On a stack of B
+    bundles (a sequence of bundles with B taus and Y0 of shape (B, M, d),
+    run as one graph by ``forward``) the loss has shape (B,), each entry
+    bit-equal to that bundle's own loss.
     """
-    if bundle.target is None:
-        raise InvalidArgumentError("cfm_loss needs a bundle with a target batch")
-    target = np.asarray(bundle.target)
+    single = isinstance(bundle, ExperimentBundle)
+    bundles = (bundle,) if single else tuple(bundle)
+    taus = (tau,) if single else tuple(tau)
+    if any(b.target is None for b in bundles):
+        raise InvalidArgumentError("cfm_loss needs bundles with a target batch")
+    targets = [np.asarray(b.target) for b in bundles]
+    if any(t.shape != targets[0].shape for t in targets):
+        raise InvalidArgumentError("stacked bundles differ in their target shapes")
+    target = targets[0] if single else np.stack(targets)
     y0 = np.asarray(y0)
     if y0.shape != target.shape:
         raise InvalidArgumentError(f"noise shape {y0.shape} != target shape {target.shape}")
-    y_tau = (1.0 - tau) * y0 + tau * target
+    if len(taus) != len(bundles):
+        raise InvalidArgumentError(f"{len(taus)} taus for {len(bundles)} stacked bundles")
+    # Each bundle's state is the expression it has alone, so any input dtype rounds alike.
+    states = [(1.0 - t) * y + t * b for t, y, b in zip(taus, [y0] if single else y0, targets)]
+    y_tau = states[0] if single else np.stack(states)
     v = forward(params, model_cfg, y_tau, tau, bundle, drop_condition)
     diff = v - (target - y0)
-    return (diff * diff).mean()
+    return (diff * diff).mean(axis=(-2, -1))
 
 
 # AdamW and the EMA walk the flat parameter arrays in slices of this many
@@ -167,6 +194,39 @@ def ema_update(ema: np.ndarray, values: np.ndarray, decay: float) -> None:
         ema[block] += (1.0 - decay) * values[block]
 
 
+def _draw(
+    bundle_stream: Iterator[ExperimentBundle], rng: np.random.Generator, step: int
+) -> tuple[ExperimentBundle, float, np.ndarray, bool]:
+    """One bundle of the stream with its time, base noise and drop flag."""
+    try:
+        bundle = next(bundle_stream)
+    except StopIteration:
+        raise InvalidArgumentError(f"the bundle stream ended during step {step}") from None
+    if bundle.target is None:
+        raise InvalidArgumentError(f"step {step} drew a bundle without a target batch")
+    tau = sample_time(rng)
+    y0 = rng.standard_normal(bundle.target.shape)
+    drop = rng.random() < CONDITION_DROP_PROB
+    return bundle, tau, y0, drop
+
+
+def _stacks(draws: list) -> list[list]:
+    """Runs of consecutive draws that share their drop flag and shapes, each
+    at most STACK_BUNDLES long, in draw order."""
+
+    def key(draw):
+        bundle, _, _, drop = draw
+        return drop, bundle.y_obs.shape, tuple(b.shape for _, b in bundle.context), bundle.target.shape
+
+    stacks: list[list] = []
+    for draw in draws:
+        if stacks and len(stacks[-1]) < STACK_BUNDLES and key(stacks[-1][0]) == key(draw):
+            stacks[-1].append(draw)
+        else:
+            stacks.append([draw])
+    return stacks
+
+
 def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
@@ -178,6 +238,10 @@ def train(
     gradients (each bundle independently noised and possibly condition
     dropped), applies one AdamW update at the scheduled learning rate, and
     advances the weight EMA.  Aborts on a non-finite loss.
+
+    A step first draws all its bundles, times, noise and drop flags, in the
+    order one bundle at a time would, then runs them as stacked graphs, one
+    ``cfm_loss`` and one backward each (see the module docstring).
     """
     params = build_model(model_cfg, train_cfg.seed)
     rng = np.random.default_rng(train_cfg.seed)
@@ -187,15 +251,17 @@ def train(
 
     for step in range(1, train_cfg.total_steps + 1):
         params.zero_grads()
+        draws = [_draw(bundle_stream, rng, step) for _ in range(train_cfg.batch_size)]
         batch_loss = 0.0
-        for _ in range(train_cfg.batch_size):
-            bundle = next(bundle_stream)
-            tau = sample_time(rng)
-            y0 = rng.standard_normal(bundle.target.shape)
-            drop = rng.random() < CONDITION_DROP_PROB
-            loss = cfm_loss(params, model_cfg, bundle, tau, y0, drop)
+        for stack in _stacks(draws):
+            bundles, taus, y0s, drops = zip(*stack)
+            loss = cfm_loss(params, model_cfg, bundles, taus, np.stack(y0s), drops[0])
             loss.backward(seed=1.0 / train_cfg.batch_size)
-            batch_loss += float(loss.data)
+            for value in loss.data.tolist():  # one addition per bundle, in draw order
+                batch_loss += value
+            # Free this stack's graph before the next one is built: at most one
+            # stack's saved activations are alive at a time.
+            del loss
         batch_loss /= train_cfg.batch_size
         if not math.isfinite(batch_loss):
             raise NumericalFailureError(f"non-finite loss at step {step}")

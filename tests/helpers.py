@@ -1,6 +1,7 @@
 """Shared test utilities: central finite differences against the tape,
-unfused reference compositions of the fused layer primitives, the
-per-threshold precision-recall sweep, and archive editing."""
+unfused reference compositions of the fused layer primitives, the training
+loop with one graph per bundle, the per-threshold precision-recall sweep,
+and archive editing."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import numpy as np
 
 from pertmap import autodiff as ad
 from pertmap import layers
+from pertmap import model as mdl
+from pertmap import training as tr
 from pertmap.autodiff import Tensor
 from pertmap.metrics import PrCurve
 
@@ -139,24 +142,61 @@ def ref_joint_attention(streams, params, heads: int, head_dim: int) -> list[Tens
     """``layers.joint_attention`` as the chain of per-head nodes it was.
 
     The projections are ``layers.linear`` nodes, looked up when called, so
-    that a test can patch them too."""
+    that a test can patch them too.  Streams may carry leading (bundle) axes."""
     querying = [(s, p) for s, p in zip(streams, params) if p.wq is not None]
-    q = ad.concat([layers.linear(s, p.wq, p.bq) for s, p in querying], axis=0)
-    k = ad.concat([layers.linear(s, p.wk, p.bk) for s, p in zip(streams, params)], axis=0)
-    v = ad.concat([layers.linear(s, p.wv, p.bv) for s, p in zip(streams, params)], axis=0)
+    q = ad.concat([layers.linear(s, p.wq, p.bq) for s, p in querying], axis=-2)
+    k = ad.concat([layers.linear(s, p.wk, p.bk) for s, p in zip(streams, params)], axis=-2)
+    v = ad.concat([layers.linear(s, p.wv, p.bv) for s, p in zip(streams, params)], axis=-2)
+
+    def swap_last_two(x: Tensor, offset: int = 0) -> Tensor:
+        """Swap the axes at -2 - offset and -1 - offset."""
+        axes = list(range(x.ndim))
+        i, j = x.ndim - 2 - offset, x.ndim - 1 - offset
+        axes[i], axes[j] = j, i
+        return transpose(x, tuple(axes))
 
     def split_heads(x: Tensor) -> Tensor:
-        return transpose(reshape(x, (x.shape[0], heads, head_dim)), (1, 0, 2))
+        return swap_last_two(reshape(x, x.shape[:-1] + (heads, head_dim)), offset=1)
 
     qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
-    scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(head_dim))
+    scores = matmul(qh, swap_last_two(kh)) * (1.0 / np.sqrt(head_dim))
     mixed = matmul(softmax(scores), vh)
-    merged = reshape(transpose(mixed, (1, 0, 2)), (q.shape[0], heads * head_dim))
+    merged = reshape(swap_last_two(mixed, offset=1), q.shape[:-1] + (heads * head_dim,))
     outputs, start = [], 0
     for s, p in querying:
-        outputs.append(layers.linear(merged[start : start + s.shape[0]], p.wo, p.bo))
-        start += s.shape[0]
+        outputs.append(layers.linear(merged[..., start : start + s.shape[-2], :], p.wo, p.bo))
+        start += s.shape[-2]
     return outputs
+
+
+# -- per-bundle training reference --------------------------------------------
+
+
+def per_bundle_train(model_cfg, train_cfg, bundle_stream) -> tr.TrainResult:
+    """``training.train`` with one graph and one backward per bundle, in
+    draw order: the reference that stacked training must equal bit for bit."""
+    params = mdl.build_model(model_cfg, train_cfg.seed)
+    rng = np.random.default_rng(train_cfg.seed)
+    optimizer = tr.AdamW(params)
+    ema = params.values.copy()
+    trace = []
+    for step in range(1, train_cfg.total_steps + 1):
+        params.zero_grads()
+        batch_loss = 0.0
+        for _ in range(train_cfg.batch_size):
+            bundle = next(bundle_stream)
+            tau = tr.sample_time(rng)
+            y0 = rng.standard_normal(bundle.target.shape)
+            drop = rng.random() < tr.CONDITION_DROP_PROB
+            loss = tr.cfm_loss(params, model_cfg, bundle, tau, y0, drop)
+            loss.backward(seed=1.0 / train_cfg.batch_size)
+            batch_loss += float(loss.data)
+        batch_loss /= train_cfg.batch_size
+        lr = tr.wsd_lr(step, train_cfg)
+        optimizer.step(lr)
+        tr.ema_update(ema, params.values, train_cfg.ema_decay)
+        trace.append((step, batch_loss, lr))
+    return tr.TrainResult(params, ad.ParameterSet(mdl.parameter_layout(model_cfg), ema), trace)
 
 
 # -- precision-recall reference ----------------------------------------------

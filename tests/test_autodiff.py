@@ -79,6 +79,21 @@ def test_backward_seed_scales_gradients():
     assert np.allclose(x.grad, [1.0, 2.0])
 
 
+def test_a_leaf_adds_a_stacked_adjoint_copy_by_copy_in_stack_order():
+    # float32 terms whose sum depends on the order of the additions.
+    a = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
+    a.grad = np.array([1e8], dtype=np.float32)  # what earlier bundles added
+    readout = np.array([[4.0], [4.0], [4.0]], dtype=np.float32)
+    (ad.stacked(a, 3) * readout).sum().backward()
+    expected = np.array([1e8], dtype=np.float32)
+    for g in readout:
+        expected += g
+    assert np.array_equal(a.grad, expected)
+    assert not np.array_equal(a.grad, np.float32(1e8) + readout.sum(axis=0))
+    with pytest.raises(UnsupportedOperationError):
+        ad.stacked(a * 2.0, 3)
+
+
 def test_no_grad_skips_tape():
     x = Tensor(np.array(2.0), requires_grad=True)
     with ad.no_grad():

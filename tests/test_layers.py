@@ -195,6 +195,29 @@ def test_joint_attention_width_mismatch_rejected():
         layers.joint_attention([bad], [p], heads, hd)
 
 
+def test_joint_attention_checks_every_streams_projections():
+    # A second stream projecting to width 6 beside width 4 used to reach
+    # numpy's concatenate and raise its ValueError.
+    heads, hd = 2, 2
+    rng = np.random.default_rng(5)
+    good, wide = _attn_params(4, rng), _attn_params(6, rng)
+    a, b = Tensor(RNG.standard_normal((3, 4))), Tensor(RNG.standard_normal((2, 4)))
+    wide_out = dataclasses.replace(good, wk=Tensor(rng.standard_normal((4, 6))))
+    for second in (wide, wide_out, dataclasses.replace(good, wo=None)):
+        with pytest.raises(InvalidArgumentError, match="stream 1"):
+            layers.joint_attention([a, b], [good, second], heads, hd)
+
+
+def test_joint_attention_needs_a_key_token():
+    # A lone empty stream used to raise numpy's "zero-size array to
+    # reduction operation maximum".
+    p = _attn_params(4, np.random.default_rng(6))
+    with pytest.raises(InvalidArgumentError, match="key token"):
+        layers.joint_attention([Tensor(np.zeros((0, 4)))], [p], 2, 2)
+    with pytest.raises(InvalidArgumentError, match="key token"):
+        layers.joint_attention([Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4)))], [p, p], 2, 2)
+
+
 def test_joint_attention_gradcheck():
     # Gradients of a one-block joint attention wrt all projections and inputs.
     width, heads, hd = 4, 2, 2

@@ -248,6 +248,31 @@ def test_forward_rejects_arrays_of_the_wrong_rank():
             mdl.forward(params, cfg, *noised, bad)
 
 
+def test_forward_rejects_a_non_finite_tau():
+    # A NaN tau used to come back as all-NaN velocities.
+    cfg = mdl.toy_config()
+    params = mdl.build_model(cfg, seed=9)
+    y_tau = RNG.standard_normal((2, cfg.max_genes))
+    for tau in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidArgumentError, match="tau"):
+            mdl.forward(params, cfg, y_tau, tau, _bundle())
+    with pytest.raises(InvalidArgumentError, match="tau"):
+        mdl.forward(params, cfg, np.stack([y_tau, y_tau]), [0.5, np.nan], [_bundle(), _bundle()])
+
+
+def test_forward_rejects_stacks_that_do_not_share_their_shapes():
+    cfg = mdl.toy_config()
+    params = mdl.build_model(cfg, seed=9)
+    y_tau = RNG.standard_normal((2, 3, cfg.max_genes))
+    for other in (_bundle(n_obs=4), _bundle(m_ctx=3), _bundle(k=1)):
+        with pytest.raises(InvalidArgumentError, match="stacked"):
+            mdl.forward(params, cfg, y_tau, [0.5, 0.5], [_bundle(), other])
+    with pytest.raises(InvalidArgumentError, match="query shape"):
+        mdl.forward(params, cfg, y_tau, [0.5, 0.5, 0.5], [_bundle()] * 3)
+    with pytest.raises(InvalidArgumentError, match="tau"):
+        mdl.forward(params, cfg, y_tau, 0.5, [_bundle()] * 2)
+
+
 @pytest.mark.parametrize(
     "sizes",
     [

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
 
 from pertmap import model as mdl
 from pertmap import training as tr
@@ -292,6 +297,108 @@ def test_train_matches_the_per_tensor_updates_bit_for_bit(monkeypatch):
         assert np.array_equal(result.params[name].data, theta[name]), name
         assert np.array_equal(result.ema_params[name].data, ema[name]), name
     assert not np.array_equal(result.params.values, result.ema_params.values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(0, 2),
+    drop=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_stack_equals_its_bundles_one_at_a_time_bit_for_bit(n, k, drop, dtype, seed):
+    rng = np.random.default_rng(seed)
+    params = mdl.build_model(MICRO_CFG, seed=0, dtype=dtype)
+    # Nonzero weights everywhere: the zero-initialized FiLM and readout
+    # projections would hide most of the graph.
+    for _, t in params.items():
+        t.data[...] = rng.standard_normal(t.shape) * 0.3
+    # Inputs in the parameters' dtype too: a float32 target and noise must
+    # be noised in float32 in a stack as alone.
+    bundles = []
+    for _ in range(n):
+        bundle = _micro_bundle(rng, k=k)
+        slots = tuple(rng.choice(MICRO_CFG.max_context, size=k, replace=False).tolist())
+        bundles.append(dataclasses.replace(bundle, target=bundle.target.astype(dtype), context_slots=slots))
+    taus = rng.uniform(0.0, 1.0, n).tolist()
+    y0 = rng.standard_normal((n, 5, 4)).astype(dtype)
+    weight = 1.0 / (n + 1)
+    # What earlier bundles of a step added: the stack must add into it
+    # bundle by bundle, as one graph per bundle does.
+    earlier = rng.standard_normal(params.grad.size)
+
+    params.grad[...] = earlier
+    one_at_a_time = []
+    for bundle, tau, noise in zip(bundles, taus, y0):
+        loss = tr.cfm_loss(params, MICRO_CFG, bundle, tau, noise, drop)
+        loss.backward(seed=weight)
+        one_at_a_time.append(loss.data)
+    reference = params.grad.copy()
+
+    params.grad[...] = earlier
+    stacked = tr.cfm_loss(params, MICRO_CFG, bundles, taus, y0, drop)
+    stacked.backward(seed=weight)
+    assert stacked.data.dtype == np.dtype(dtype)
+    assert np.array_equal(stacked.data, np.array(one_at_a_time))
+    assert not np.array_equal(reference, earlier)
+    assert np.array_equal(params.grad, reference)
+
+
+def test_train_stacks_its_bundles_bit_for_bit(monkeypatch):
+    calls = []
+    loss = tr.cfm_loss
+
+    def recording(params, model_cfg, bundles, taus, y0, drop):
+        calls.append((len(bundles), drop))
+        return loss(params, model_cfg, bundles, taus, y0, drop)
+
+    monkeypatch.setattr(tr, "cfm_loss", recording)
+    cfg = tr.TrainConfig(total_steps=4, batch_size=8, seed=2, peak_lr=5e-3, ema_decay=0.9)
+    result = tr.train(MICRO_CFG, cfg, _bundle_stream(31))
+    monkeypatch.undo()
+    reference = helpers.per_bundle_train(MICRO_CFG, cfg, _bundle_stream(31))
+
+    # Split the recorded stacks into steps; then find a stack cut at the
+    # bound (its successor has the same drop flag) and one cut at a drop.
+    steps, sizes = [[]], 0
+    for size, drop in calls:
+        steps[-1].append((size, drop))
+        sizes += size
+        if sizes % cfg.batch_size == 0:
+            steps.append([])
+    assert sizes == cfg.total_steps * cfg.batch_size and steps[-1] == []
+    pairs = [pair for step in steps for pair in zip(step, step[1:])]
+    assert any(a == (tr.STACK_BUNDLES, b[1]) for a, b in pairs)
+    assert any(a[1] != b[1] for a, b in pairs)
+    assert max(size for size, _ in calls) == tr.STACK_BUNDLES
+
+    assert np.array_equal(result.params.values, reference.params.values)
+    assert np.array_equal(result.ema_params.values, reference.ema_params.values)
+    assert result.trace == reference.trace
+
+
+def test_train_names_the_step_where_the_stream_fails():
+    cfg = tr.TrainConfig(total_steps=3, batch_size=2)
+    with pytest.raises(InvalidArgumentError, match="step 2"):
+        tr.train(MICRO_CFG, cfg, itertools.islice(_bundle_stream(1), 3))
+    rng = np.random.default_rng(4)
+    no_target = iter([_micro_bundle(rng), _micro_bundle(rng, with_target=False)])
+    with pytest.raises(InvalidArgumentError, match="step 1"):
+        tr.train(MICRO_CFG, cfg, no_target)
+
+
+def test_cfm_loss_rejects_stacks_that_do_not_fit():
+    params = mdl.build_model(MICRO_CFG, seed=0)
+    rng = np.random.default_rng(8)
+    a, b = _micro_bundle(rng), _micro_bundle(rng)
+    short = dataclasses.replace(b, target=b.target[:3])
+    with pytest.raises(InvalidArgumentError, match="target"):
+        tr.cfm_loss(params, MICRO_CFG, [a, short], [0.5, 0.5], np.zeros((2, 5, 4)))
+    with pytest.raises(InvalidArgumentError, match="tau"):
+        tr.cfm_loss(params, MICRO_CFG, [a, b], [0.5], np.zeros((2, 5, 4)))
+    with pytest.raises(InvalidArgumentError, match="target"):
+        tr.cfm_loss(params, MICRO_CFG, [a, dataclasses.replace(b, target=None)], [0.5, 0.5], np.zeros((2, 5, 4)))
 
 
 def _learnable_stream(seed, d=4):
