@@ -5,16 +5,16 @@ A :class:`Tensor` wraps an ndarray and records the operations applied to it;
 gradients into every tensor with ``requires_grad``.  The primitive set is
 exactly what the transformer composes around its fused layers (see
 :mod:`pertmap.layers`): ``add``, ``sub`` and ``mul`` with numpy
-broadcasting, ``sum_`` and ``mean``, basic-index ``take``, ``concat``, and
-``stacked``, which repeats a leaf along a new leading axis.
+broadcasting, ``sum_`` and ``mean``, basic-index ``take`` and ``concat``.
 
 A graph may run a stack of bundles at once, each array carrying a leading
 bundle axis.  A leaf then receives a stacked adjoint: one more axis than
-the leaf, one gradient per bundle (a ``linear`` weight's vjp and
-``stacked``'s return them).  It adds them into its gradient one bundle at
-a time, in stack order, so a stack's gradients sum in exactly the order
-that one backward per bundle, run in that order, sums them.  A leaf must
-receive only stacked or only unstacked adjoints within one graph.
+the leaf, one gradient per bundle; ``layers.linear`` hands these to its
+weight and bias on a stack of token matrices, and nothing else makes them.
+The leaf adds them into its gradient one bundle at a time, in stack order,
+so a stack's gradients sum in exactly the order that one backward per
+bundle, run in that order, sums them.  A leaf must receive only stacked or
+only unstacked adjoints within one graph.
 
 Every primitive builds its output through :func:`_make`, from the result
 array and one ``(operand, vjp)`` pair per operand, where ``vjp`` maps the
@@ -298,15 +298,6 @@ def take(a: Tensor, key) -> Tensor:
         return full
 
     return _make(a.data[key], ((a, vjp),))
-
-
-def stacked(a: Tensor, n: int) -> Tensor:
-    """``n`` copies of the leaf ``a`` along a new leading axis, as a read-only
-    view; its vjp hands back the stack of per-copy gradients, which ``a``
-    adds copy by copy (see the module docstring)."""
-    if a._backward is not None:
-        raise UnsupportedOperationError("only a leaf tensor can be stacked")
-    return _make(np.broadcast_to(a.data, (n, *a.shape)), ((a, lambda g: g),))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

@@ -307,6 +307,9 @@ class BundleSampler:
             raise InvalidArgumentError("no train conditions to sample from")
         if k_context < 0 or n_obs_tokens < 1 or m_tokens < 1:
             raise InvalidArgumentError(f"k_context {k_context} < 0 or token count {n_obs_tokens, m_tokens} < 1")
+        unknown = [c for c in train_conditions if (c.context_id, c.treatment_id) not in dataset.interventional]
+        if unknown:
+            raise InvalidArgumentError(f"train conditions {unknown} are not in the dataset")
         self.dataset = dataset
         self.rng = np.random.default_rng(seed)
         self.k_context = k_context
@@ -361,6 +364,9 @@ def build_eval_bundle(
 ) -> ExperimentBundle:
     """Inference bundle for one test condition with an explicit context set."""
     ctx = condition.context_id
+    unknown = [t for t in (condition.treatment_id, *context_treatments) if (ctx, t) not in dataset.interventional]
+    if unknown:
+        raise InvalidArgumentError(f"treatments {unknown} of context {ctx} are not in the dataset")
     context = tuple(
         (dataset.treatment_codes[(ctx, t)], _head(dataset.interventional[(ctx, t)], max_rows))
         for t in context_treatments

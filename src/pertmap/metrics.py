@@ -165,12 +165,12 @@ def _entropic_ot_value(cost: np.ndarray, epsilon: float, max_iters: int, tol: fl
 
 
 def _two_samples(y: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both samples as float (cells, genes) arrays; raises unless each has a
-    cell and a gene, both have the same genes and every entry is finite."""
+    """Both samples as float (cells, genes) arrays; raises unless each has at
+    most two axes, a cell and a gene, the other's genes and finite entries."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float))
-    if y.size == 0 or y_hat.size == 0 or y.shape[1:] != y_hat.shape[1:]:
-        raise InvalidArgumentError(f"samples must be non-empty over the same genes: {y.shape}, {y_hat.shape}")
+    if y.ndim != 2 or y_hat.ndim != 2 or y.size == 0 or y_hat.size == 0 or y.shape[1] != y_hat.shape[1]:
+        raise InvalidArgumentError(f"samples must be non-empty matrices over the same genes: {y.shape}, {y_hat.shape}")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_hat))):
         raise InvalidArgumentError("samples must be finite")
     return y, y_hat

@@ -17,12 +17,12 @@ so the last block updates stream 0 only: there streams 1 and 2 give keys
 and values and have no query, output or feed-forward parameters (as the
 context stream of SD3's last MM-DiT block, Esser et al. 2024).
 
-``forward`` also runs a stack of same-shaped bundles as one graph.  Then
-every token matrix carries a leading bundle axis, each bundle has its own
-time embedding, and the parameters that enter as tokens (the registers and
-the null row of the role table) are repeated per bundle by
-``autodiff.stacked``; each bundle's slice of the result equals its own
-forward bit for bit.
+``forward`` runs a stack of same-shaped bundles as one graph, and a lone
+bundle is a stack of one.  Every token matrix carries a leading bundle
+axis, each bundle has its own time embedding, and the parameters that enter
+as tokens are 0/1 products with their tables: the registers are the
+identity times ``emb.registers``, the null token its one-hot row times
+``emb.roles``.  Each bundle's slice equals its own forward bit for bit.
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
 
 
 def _time_embedding(params: ParameterSet, taus: np.ndarray) -> Tensor:
-    """One (1, time_dim) embedding row per tau, behind the taus' axes."""
-    h = silu(linear(taus.reshape(taus.shape + (1, 1)), params["time.l1.w"], params["time.l1.b"]))
+    """One (1, time_dim) embedding row per bundle's tau, shape (B, 1, time_dim)."""
+    h = silu(linear(taus[:, None, None], params["time.l1.w"], params["time.l1.b"]))
     return linear(h, params["time.l2.w"], params["time.l2.b"])
 
 
@@ -191,25 +191,21 @@ def forward(
     bundle: ExperimentBundle | Sequence[ExperimentBundle],
     drop_condition: bool = False,
 ) -> Tensor:
-    """Velocity prediction for the M query cells ``y_tau`` (M, d) noised to
-    time ``tau``, shape (M, d).
+    """Velocity prediction for a stack of B bundles, run as one graph.
 
-    A stack of B bundles runs as one graph: ``bundle`` is then a sequence
-    of B bundles whose observations and context batches share their shapes,
-    ``tau`` holds B times, ``y_tau`` is (B, M, d), and so is the result.
-    Every token matrix then carries the leading bundle axis, and each
-    bundle's slice equals that bundle's own forward bit for bit.  A single
-    bundle runs the same code with no bundle axis.
+    ``bundle`` holds B bundles whose observations and context batches share
+    their shapes, ``tau`` B times and ``y_tau`` the (B, M, d) query cells
+    noised to them; the result is (B, M, d).  A lone bundle, with a scalar
+    ``tau`` and (M, d) cells, is a stack of one and returns its (M, d) slice.
     """
-    single = isinstance(bundle, ExperimentBundle)
-    bundles = (bundle,) if single else tuple(bundle)
-    lead = () if single else (len(bundles),)
-    taus = np.asarray(tau, dtype=float)
-    y = np.asarray(y_tau)
-    d = cfg.max_genes
-    if not bundles or y.shape[:-2] != lead or y.ndim != len(lead) + 2 or y.shape[-1] != d:
-        raise InvalidArgumentError(f"query shape {y.shape} does not match bundle axes {lead} and gene count {d}")
-    if taus.shape != lead or not np.all(np.isfinite(taus)):
+    lone = isinstance(bundle, ExperimentBundle)
+    if lone:  # a stack of one
+        bundle, tau, y_tau = (bundle,), (tau,), np.asarray(y_tau)[None]
+    bundles, taus, y = tuple(bundle), np.asarray(tau, dtype=float), np.asarray(y_tau)
+    n, d = len(bundles), cfg.max_genes
+    if not n or y.ndim != 3 or y.shape[0] != n or y.shape[-1] != d:
+        raise InvalidArgumentError(f"query shape {y.shape} does not match {n} stacked bundles and gene count {d}")
+    if taus.shape != (n,) or not np.all(np.isfinite(taus)):
         raise InvalidArgumentError(f"tau {tau} is not one finite time per bundle")
     sizes = None  # rows of the observations and of each context batch, shared by a stack
     for b in bundles:
@@ -227,31 +223,24 @@ def forward(
         if sizes is not None and [len(x) for x in batches] != sizes:
             raise InvalidArgumentError("stacked bundles differ in their observation or context batch shapes")
         sizes = [len(x) for x in batches]
-    n, m = len(bundles), y.shape[-2]
 
-    def as_tokens(t: Tensor) -> Tensor:
-        """A parameter that enters as tokens, once per bundle of a stack."""
-        return ad.stacked(t, n) if lead else t
-
+    # Parameters enter as tokens through constant 0/1 matrices: each token's
+    # row of ``one_hot`` (or of the identity, for the registers) times its table.
     temb = _time_embedding(params, taus)
     roles = params["emb.roles"]
+    one_hot = np.eye(cfg.max_context + 4)
+    registers = np.broadcast_to(np.eye(cfg.register_tokens), (n, cfg.register_tokens, cfg.register_tokens))
     noise = linear(y, params["in.noise.w"], params["in.noise.b"])
-    streams = [ad.concat([noise, as_tokens(params["emb.registers"])], axis=-2)]
+    streams = [ad.concat([noise, linear(registers, params["emb.registers"])], axis=-2)]
     if drop_condition:
-        streams.append(as_tokens(roles)[..., _NULL:, :])
+        streams.append(linear(np.broadcast_to(one_hot[_NULL:], (n, 1, len(one_hot))), roles))
     else:
-        # Each token's role embedding is a 0/1 row of ``one_hot`` times the
-        # role table.  The inputs are built with a bundle axis, then given ``lead``.
-        one_hot = np.eye(cfg.max_context + 4)
         slots = np.array([b.slots() for b in bundles], dtype=np.intp)
         cell_roles = one_hot[np.repeat(np.concatenate([np.full((n, 1), _OBS), slots], axis=1), sizes, axis=1)]
         cell_roles[:, sizes[0] :, _INT] = 1.0
         treat_roles = one_hot[np.concatenate([slots, np.full((n, 1), _QUERY)], axis=1)]
         cells = np.stack([np.concatenate([b.y_obs] + [batch for _, batch in b.context]) for b in bundles])
         codes = np.stack([np.stack([code for code, _ in b.context] + [b.query_code]) for b in bundles])
-        cell_roles, treat_roles, cells, codes = (
-            x.reshape(lead + x.shape[1:]) for x in (cell_roles, treat_roles, cells, codes)
-        )
         cells = linear(cells, params["in.cells.w"], params["in.cells.b"])
         treats = linear(codes, params["in.treat.w"], params["in.treat.b"])
         streams += [cells + linear(cell_roles, roles), treats + linear(treat_roles, roles)]
@@ -284,5 +273,6 @@ def forward(
             updated.append(x + h)
         streams = updated
 
-    head = film_modulate(layer_norm(streams[0][..., :m, :]), temb, params["final.film.w"], params["final.film.b"])
-    return linear(head, params["out.w"], params["out.b"])
+    head = film_modulate(layer_norm(streams[0][:, : y.shape[1]]), temb, params["final.film.w"], params["final.film.b"])
+    velocity = linear(head, params["out.w"], params["out.b"])
+    return velocity[0] if lone else velocity

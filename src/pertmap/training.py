@@ -9,15 +9,16 @@ guidance is defined at sampling time.  AdamW with a warmup-stable-decay
 schedule updates the weights; an exponential moving average of the weights
 is what inference uses.
 
-A step runs its bundles as stacked graphs: each run of consecutive bundles
-with the same drop flag and shapes, at most STACK_BUNDLES long, is one
-forward and one backward.  This is bit-identical to one graph per bundle:
-every loss, gradient, trained weight and EMA weight is equal.  It holds
-because a stacked matmul and every reduction over a stack's token or last
-axis equal their per-bundle counterparts, because the stacks run in draw
-order, and because a parameter adds a stack's gradients one bundle at a
-time (see :mod:`pertmap.autodiff`), so each parameter's gradient sums its
-bundles in the same order.
+The loss takes a stack of bundles, as ``forward`` does; a lone bundle is a
+stack of one.  A step runs each run of consecutive bundles with the same
+drop flag and shapes, at most STACK_BUNDLES long, as one forward and one
+backward.  This is bit-identical to one graph per bundle: every loss,
+gradient, trained weight and EMA weight is equal.  It holds because a
+stacked matmul and every reduction over a stack's token or last axis equal
+their per-bundle counterparts, because the stacks run in draw order, and
+because a parameter adds a stack's gradients one bundle at a time (see
+:mod:`pertmap.autodiff`), so each parameter's gradient sums its bundles in
+the same order.
 
 Generation integrates dY/dtau = v_u + omega * (v_c - v_u) from tau=0
 (standard normal) to tau=1 with scipy's adaptive Dormand-Prince solver (RK45).
@@ -26,6 +27,7 @@ Generation integrates dY/dtau = v_u + omega * (v_c - v_u) from tau=0
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -60,6 +62,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("total_steps", "batch_size", "seed"):  # NumPy integers pass; bool and float do not
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, numbers.Integral):
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
         if self.total_steps < 1:
             raise InvalidArgumentError("total_steps must be >= 1")
         if self.batch_size < 1:
@@ -121,34 +126,34 @@ def cfm_loss(
     y0: np.ndarray,
     drop_condition: bool = False,
 ) -> Tensor:
-    """Mean squared velocity error at the interpolated state.
+    """Mean squared velocity error at the interpolated state, per bundle.
 
     The state is (1 - tau) * Y0 + tau * target and the regression target is
-    target - Y0; the mean runs over all M * d entries.  On a stack of B
-    bundles (a sequence of bundles with B taus and Y0 of shape (B, M, d),
-    run as one graph by ``forward``) the loss has shape (B,), each entry
-    bit-equal to that bundle's own loss.
+    target - Y0; the mean runs over all M * d entries.  A stack of B bundles
+    (with B taus and Y0 of shape (B, M, d)) runs as one graph by ``forward``
+    and has B losses.  A lone bundle, with a scalar tau and Y0 of shape
+    (M, d), is a stack of one and returns that stack's loss as a scalar.
     """
-    single = isinstance(bundle, ExperimentBundle)
-    bundles = (bundle,) if single else tuple(bundle)
-    taus = (tau,) if single else tuple(tau)
+    lone = isinstance(bundle, ExperimentBundle)
+    if lone:  # a stack of one
+        bundle, tau, y0 = (bundle,), (tau,), np.asarray(y0)[None]
+    bundles, taus, y0 = tuple(bundle), tuple(tau), np.asarray(y0)
     if any(b.target is None for b in bundles):
         raise InvalidArgumentError("cfm_loss needs bundles with a target batch")
     targets = [np.asarray(b.target) for b in bundles]
     if any(t.shape != targets[0].shape for t in targets):
         raise InvalidArgumentError("stacked bundles differ in their target shapes")
-    target = targets[0] if single else np.stack(targets)
-    y0 = np.asarray(y0)
+    target = np.stack(targets)
     if y0.shape != target.shape:
         raise InvalidArgumentError(f"noise shape {y0.shape} != target shape {target.shape}")
     if len(taus) != len(bundles):
         raise InvalidArgumentError(f"{len(taus)} taus for {len(bundles)} stacked bundles")
     # Each bundle's state is the expression it has alone, so any input dtype rounds alike.
-    states = [(1.0 - t) * y + t * b for t, y, b in zip(taus, [y0] if single else y0, targets)]
-    y_tau = states[0] if single else np.stack(states)
-    v = forward(params, model_cfg, y_tau, tau, bundle, drop_condition)
+    y_tau = np.stack([(1.0 - t) * y + t * b for t, y, b in zip(taus, y0, targets)])
+    v = forward(params, model_cfg, y_tau, taus, bundles, drop_condition)
     diff = v - (target - y0)
-    return (diff * diff).mean(axis=(-2, -1))
+    loss = (diff * diff).mean(axis=(-2, -1))
+    return loss[0] if lone else loss
 
 
 # AdamW and the EMA walk the flat parameter arrays in slices of this many

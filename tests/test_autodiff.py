@@ -80,18 +80,17 @@ def test_backward_seed_scales_gradients():
 
 
 def test_a_leaf_adds_a_stacked_adjoint_copy_by_copy_in_stack_order():
-    # float32 terms whose sum depends on the order of the additions.
-    a = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
-    a.grad = np.array([1e8], dtype=np.float32)  # what earlier bundles added
-    readout = np.array([[4.0], [4.0], [4.0]], dtype=np.float32)
-    (ad.stacked(a, 3) * readout).sum().backward()
-    expected = np.array([1e8], dtype=np.float32)
-    for g in readout:
-        expected += g
-    assert np.array_equal(a.grad, expected)
-    assert not np.array_equal(a.grad, np.float32(1e8) + readout.sum(axis=0))
-    with pytest.raises(UnsupportedOperationError):
-        ad.stacked(a * 2.0, 3)
+    # float32 terms whose sum depends on the order of the additions: a linear
+    # weight on a stack of 3 token matrices gets one gradient per bundle.
+    w = Tensor(np.array([[2.0]], dtype=np.float32), requires_grad=True)
+    w.grad = np.array([[1e8]], dtype=np.float32)  # what earlier bundles added
+    x = np.full((3, 2, 1), 2.0, dtype=np.float32)  # (bundles, tokens, in)
+    layers.linear(x, w).sum().backward()
+    expected = np.array([[1e8]], dtype=np.float32)
+    for tokens in x:
+        expected += tokens.T @ np.ones((2, 1), dtype=np.float32)
+    assert np.array_equal(w.grad, expected)
+    assert not np.array_equal(w.grad, np.float32(1e8) + np.float32(x.sum()))
 
 
 def test_no_grad_skips_tape():

@@ -235,3 +235,23 @@ def test_bundle_sampler_rejects_bad_sizes(kwargs):
     args = dict(k_context=1, max_context=2, seed=0, n_obs_tokens=4, m_tokens=4) | kwargs
     with pytest.raises(InvalidArgumentError):
         datasets.BundleSampler(ds, ds.conditions, **args)
+
+
+def test_bundle_sampler_rejects_a_train_condition_the_dataset_lacks():
+    # Unchecked, the first draw of it raised a raw KeyError.
+    ds = datasets.generate_scm_dataset(1, 3, 8, base_seed=4)
+    with pytest.raises(InvalidArgumentError, match="not in the dataset"):
+        datasets.BundleSampler(ds, [*ds.conditions, datasets.ConditionKey(0, 9)], 1, 2, seed=0)
+
+
+def test_build_eval_bundle_rejects_a_condition_the_dataset_lacks():
+    ds = datasets.generate_scm_dataset(1, 3, 8, base_seed=4)
+    with pytest.raises(InvalidArgumentError, match="not in the dataset"):
+        datasets.build_eval_bundle(ds, datasets.ConditionKey(5, 0), [])
+
+
+def test_build_eval_bundle_rejects_a_context_treatment_the_dataset_lacks():
+    ds = datasets.generate_scm_dataset(1, 3, 8, base_seed=4)
+    condition = ds.conditions[0]
+    with pytest.raises(InvalidArgumentError, match="not in the dataset"):
+        datasets.build_eval_bundle(ds, condition, [7])

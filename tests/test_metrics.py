@@ -201,6 +201,17 @@ def test_two_sample_metrics_reject_zero_gene_samples(metric):
         metric(np.zeros((3, 0)), np.zeros((3, 0)))
 
 
+@pytest.mark.parametrize("metric", TWO_SAMPLE_METRICS, ids=lambda f: f.__name__)
+def test_two_sample_metrics_reject_samples_with_more_than_two_axes(metric):
+    # Without the check rmse_means, variance_correlation and deg_stats
+    # returned values and the others raised scipy's ValueError.
+    for side in range(2):
+        samples = [RNG.standard_normal((4, 3)), RNG.standard_normal((4, 3))]
+        samples[side] = RNG.standard_normal((4, 3, 2))
+        with pytest.raises(InvalidArgumentError, match="matrices"):
+            metric(*samples)
+
+
 @NON_FINITE
 @pytest.mark.parametrize("metric", TWO_SAMPLE_METRICS, ids=lambda f: f.__name__)
 def test_two_sample_metrics_reject_non_finite_samples(metric, bad):
@@ -219,6 +230,14 @@ def test_magnitude_ratio_rejects_a_non_finite_sample(position, bad):
     samples = [RNG.standard_normal((6, 2)) + shift for shift in (0.0, 2.0, 1.0)]
     samples[position][2, 1] = bad
     with pytest.raises(InvalidArgumentError, match="finite"):
+        metrics.magnitude_ratio(*samples)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_magnitude_ratio_rejects_a_sample_with_more_than_two_axes(position):
+    samples = [RNG.standard_normal((6, 2)) + shift for shift in (0.0, 2.0, 1.0)]
+    samples[position] = np.stack([samples[position]] * 3, axis=-1)
+    with pytest.raises(InvalidArgumentError, match="matrices"):
         metrics.magnitude_ratio(*samples)
 
 

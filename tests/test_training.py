@@ -123,16 +123,29 @@ def test_train_config_rejects_a_batch_size_below_one():
         ("omega", math.nan),
         ("omega", math.inf),
         ("omega", -math.inf),
+        ("total_steps", 1.5),
+        ("total_steps", 2.0),
+        ("total_steps", True),
+        ("batch_size", 2.5),
+        ("batch_size", np.float64(2.0)),
+        ("seed", 0.5),
+        ("seed", False),
     ],
 )
 def test_configs_reject_values_the_loop_cannot_use(field, value):
-    # Unchecked, ema_decay=2 trained to EMA weights of 2e5, and a NaN
-    # peak_lr or omega surfaced later as a non-finite loss or ODE field.
+    # Unchecked, ema_decay=2 trained to EMA weights of 2e5, a NaN peak_lr or
+    # omega surfaced later as a non-finite loss or ODE field, and a float
+    # count or seed as a raw TypeError inside train().
     with pytest.raises(InvalidArgumentError, match=field):
         if field == "omega":
             tr.GuidanceConfig(omega=value)
         else:
-            tr.TrainConfig(total_steps=1, **{field: value})
+            tr.TrainConfig(**{"total_steps": 1, field: value})
+
+
+def test_train_config_accepts_numpy_integers():
+    cfg = tr.TrainConfig(total_steps=np.int64(2), batch_size=np.int32(3), seed=np.uint64(7))
+    assert (cfg.total_steps, cfg.batch_size, cfg.seed) == (2, 3, 7)
 
 
 def test_cfm_loss_shape_mismatch_rejected():
@@ -201,7 +214,8 @@ def test_cfm_loss_tape_runs_in_the_parameters_dtype(dtype):
 
 def test_cfm_loss_backward_returns_gradients_only_for_parents_on_the_tape():
     # Input batches and constants are off the tape: no node's backward may
-    # spend a gradient on them.
+    # spend a gradient on them.  A lone bundle is a stack of one, so a
+    # parameter may receive a stacked adjoint, one gradient per bundle.
     params = mdl.build_model(MICRO_CFG, seed=5)
     rng = np.random.default_rng(7)
     bundle = _micro_bundle(rng)
@@ -216,7 +230,7 @@ def test_cfm_loss_backward_returns_gradients_only_for_parents_on_the_tape():
             on_tape = {id(p) for p in node._parents}
             for parent, grad in node._backward(np.ones_like(node.data)):
                 assert id(parent) in on_tape
-                assert grad.shape == parent.shape
+                assert grad.shape in (parent.shape, (1, *parent.shape))
         for parent in node._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
