@@ -305,8 +305,10 @@ class BundleSampler:
     ):
         if not train_conditions:
             raise InvalidArgumentError("no train conditions to sample from")
-        if k_context < 0 or n_obs_tokens < 1 or m_tokens < 1:
-            raise InvalidArgumentError(f"k_context {k_context} < 0 or token count {n_obs_tokens, m_tokens} < 1")
+        if k_context < 0 or max_context < 0 or n_obs_tokens < 1 or m_tokens < 1:
+            raise InvalidArgumentError(
+                f"k_context {k_context} or max_context {max_context} < 0, or token count {n_obs_tokens, m_tokens} < 1"
+            )
         unknown = [c for c in train_conditions if (c.context_id, c.treatment_id) not in dataset.interventional]
         if unknown:
             raise InvalidArgumentError(f"train conditions {unknown} are not in the dataset")
@@ -367,6 +369,10 @@ def build_eval_bundle(
     unknown = [t for t in (condition.treatment_id, *context_treatments) if (ctx, t) not in dataset.interventional]
     if unknown:
         raise InvalidArgumentError(f"treatments {unknown} of context {ctx} are not in the dataset")
+    if condition.treatment_id in context_treatments or len(set(context_treatments)) < len(context_treatments):
+        raise InvalidArgumentError(
+            f"context treatments {list(context_treatments)} must be distinct and exclude the query {condition.treatment_id}"
+        )
     context = tuple(
         (dataset.treatment_codes[(ctx, t)], _head(dataset.interventional[(ctx, t)], max_rows))
         for t in context_treatments

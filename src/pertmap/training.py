@@ -69,6 +69,8 @@ class TrainConfig:
             raise InvalidArgumentError("total_steps must be >= 1")
         if self.batch_size < 1:
             raise InvalidArgumentError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.peak_lr) and self.peak_lr > 0):
             raise InvalidArgumentError(f"peak_lr must be finite and positive, got {self.peak_lr}")
         if not 0.0 <= self.ema_decay <= 1.0:

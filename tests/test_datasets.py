@@ -228,9 +228,13 @@ def test_paired_scm_dataset_changes_only_the_treated_gene_and_its_descendants():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [dict(k_context=-1), dict(n_obs_tokens=0), dict(m_tokens=0)], ids=lambda kw: ",".join(kw)
+    "kwargs",
+    [dict(k_context=-1), dict(max_context=-1), dict(n_obs_tokens=0), dict(m_tokens=0)],
+    ids=lambda kw: ",".join(kw),
 )
 def test_bundle_sampler_rejects_bad_sizes(kwargs):
+    # Unchecked, max_context=-1 was accepted and the first draw raised
+    # NumPy's raw ValueError from rng.choice.
     ds = datasets.generate_scm_dataset(1, 3, 8, base_seed=4)
     args = dict(k_context=1, max_context=2, seed=0, n_obs_tokens=4, m_tokens=4) | kwargs
     with pytest.raises(InvalidArgumentError):
@@ -255,3 +259,15 @@ def test_build_eval_bundle_rejects_a_context_treatment_the_dataset_lacks():
     condition = ds.conditions[0]
     with pytest.raises(InvalidArgumentError, match="not in the dataset"):
         datasets.build_eval_bundle(ds, condition, [7])
+
+
+@pytest.mark.parametrize("case", ["query", "repeat"])
+def test_build_eval_bundle_rejects_the_query_or_a_repeat_in_its_context(case):
+    # Unchecked, the held-out batch the model is scored against could sit
+    # in its own context, and a context batch could count twice.
+    ds = datasets.generate_scm_dataset(1, 3, 8, base_seed=4)
+    condition = ds.conditions[0]
+    other = next(c.treatment_id for c in ds.conditions if c != condition)
+    context = [other, condition.treatment_id if case == "query" else other]
+    with pytest.raises(InvalidArgumentError, match="distinct and exclude the query"):
+        datasets.build_eval_bundle(ds, condition, context)

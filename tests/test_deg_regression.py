@@ -3,9 +3,11 @@
 ``data/deg_fixture.json`` holds the outputs of ``deg_stats``, ``deg_labels``,
 ``deg_scores`` and ``auprc_curve`` on the inputs built by :func:`deg_cases`.
 It was written by the hand-written rank-sum test and BH correction (commit
-46b22aa), before both moved to scipy, so it must not be regenerated from
-the current code.  Significances and fold-changes must agree to 1e-12 and
-labels exactly.
+46b22aa), before both moved to scipy.  The current code is a numpy port of
+scipy's arithmetic (``test_deg_port_equals_scipy_bit_for_bit`` in
+``test_metrics.py`` pins it to scipy), so the fixture stays an independent
+check and must not be regenerated from the current code.  Significances
+and fold-changes must agree to 1e-12 and labels exactly.
 """
 
 from __future__ import annotations

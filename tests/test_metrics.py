@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +436,71 @@ def test_wilcoxon_tie_free_randomized_within_bound():
 
 def test_wilcoxon_all_identical():
     assert rank_sum_p(np.ones(5), np.ones(4)) == 1.0
+
+
+def deg_port_cases(count: int):
+    """Random (y_ref, y_alt) pairs: 1-24 genes, 1-79 cells per side, and
+    continuous, rounded (tie-heavy), log-count (zero-heavy) or partly
+    constant data; the first cases cover one cell per side."""
+    rng = np.random.default_rng(2121)
+    for case in range(count):
+        genes = int(rng.integers(1, 25))
+        n_ref, n_alt = (1, 1) if case < 8 else rng.integers(1, 80, size=2)
+        shift = rng.normal(0.0, 1.0, genes)
+        kind = case % 4
+        if kind == 3:
+            rates = rng.uniform(0.0, 2.0, genes)
+            y_ref = np.log2(1.0 + rng.poisson(rates, (n_ref, genes)))
+            y_alt = np.log2(1.0 + rng.poisson(rates * rng.uniform(0.0, 3.0, genes), (n_alt, genes)))
+        else:
+            y_ref = rng.standard_normal((n_ref, genes))
+            y_alt = rng.standard_normal((n_alt, genes)) + shift
+            if kind == 1:
+                y_ref, y_alt = np.round(y_ref, 1), np.round(y_alt, 1)
+            elif kind == 2:
+                tied = rng.random(genes) < 0.5
+                y_ref[:, tied] = y_alt[:, tied] = 0.7
+        yield y_ref, y_alt
+
+
+def test_deg_port_equals_scipy_bit_for_bit():
+    # deg_stats runs numpy ports of these two scipy calls; they must agree
+    # in every bit, all-tied genes (p = 1) included.
+    from scipy.stats import false_discovery_control, mannwhitneyu
+
+    cases = list(deg_port_cases(1200))
+    assert sum(len(a) == len(b) == 1 for a, b in cases) == 8
+    assert sum(len(a) != len(b) for a, b in cases) > 1000
+    all_tied = 0
+    for y_ref, y_alt in cases:
+        expected = mannwhitneyu(y_ref, y_alt, axis=0, method="asymptotic").pvalue
+        p = metrics._rank_sum_pvalues(y_ref, y_alt)
+        assert np.array_equal(p, expected), (y_ref, y_alt)
+        assert np.array_equal(metrics._bh_adjust(p), false_discovery_control(expected, method="bh"))
+        all_tied += int(np.sum(p == 1.0))
+    assert all_tied > 100
+
+
+def test_deg_stats_leaves_scipy_stats_unimported():
+    # scipy.stats costs about 20 MB and 0.7 s to import.  This file imports
+    # it, so the check runs in a fresh interpreter.
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import numpy as np\n"
+        "import pertmap\n"
+        "for module in pkgutil.iter_modules(pertmap.__path__):\n"
+        "    importlib.import_module('pertmap.' + module.name)\n"
+        "from pertmap import metrics\n"
+        "metrics.deg_stats(np.arange(12.0).reshape(4, 3), np.ones((3, 3)))\n"
+        "print(sorted(name for name in sys.modules if name.startswith('pertmap.')))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(metrics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    modules, loaded = out.stdout.splitlines()
+    assert "'pertmap.training'" in modules and "'pertmap.metrics'" in modules
+    assert loaded == "False"
 
 
 def test_deg_labels_threshold_rule():

@@ -130,12 +130,14 @@ def test_train_config_rejects_a_batch_size_below_one():
         ("batch_size", np.float64(2.0)),
         ("seed", 0.5),
         ("seed", False),
+        ("seed", -1),
     ],
 )
 def test_configs_reject_values_the_loop_cannot_use(field, value):
     # Unchecked, ema_decay=2 trained to EMA weights of 2e5, a NaN peak_lr or
-    # omega surfaced later as a non-finite loss or ODE field, and a float
-    # count or seed as a raw TypeError inside train().
+    # omega surfaced later as a non-finite loss or ODE field, a float count
+    # or seed as a raw TypeError inside train(), and a negative seed as
+    # NumPy's raw ValueError from SeedSequence.
     with pytest.raises(InvalidArgumentError, match=field):
         if field == "omega":
             tr.GuidanceConfig(omega=value)
