@@ -6,6 +6,8 @@ numerical problems (divergence, non-convergence) to exit code 3.
 
 from __future__ import annotations
 
+import numbers
+
 
 class PertmapError(Exception):
     """Base class for all package errors."""
@@ -34,3 +36,10 @@ class UndefinedMetricError(InvalidArgumentError):
 
 class UndefinedCorrelationError(UndefinedMetricError):
     """A correlation is undefined because one input has zero variance."""
+
+
+def require_integer(name: str, value) -> None:
+    """Raise InvalidArgumentError unless ``value`` is an integer; NumPy
+    integers pass, bool and float do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")

@@ -27,14 +27,14 @@ from dataclasses import dataclass, replace
 import networkx as nx
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError, require_integer
 from .seeding import mix_seed
 
 _HALF_RESPONSE_FLOOR = 1e-6
 _OUTLIER_GENE_PROB = 0.01
 _DROPOUT_PERCENTILE = 8.0  # of log1p-expression, at the dropout logistic's midpoint
 _CELL_BLOCK = 512  # cells simulated per vectorized block
-_STEP_CHUNK = 500  # SDE steps per noise chunk
+_NOISE_BYTES = 4 * 2**20  # bound on a block's buffer of pre-drawn SDE noise
 _DT = 0.01  # Euler-Maruyama step
 
 
@@ -71,10 +71,14 @@ class SergioConfig:
     xi_dropout: float = 60.0  # logistic slope
 
     def __post_init__(self):
+        for name in ("hill_gamma", "zeta", "mu_outlier", "mu_lib", "sigma_lib", "xi_dropout"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be finite, got {value}")
         if self.hill_gamma <= 0:
             raise InvalidArgumentError("hill_gamma must be positive")
         if self.sigma_lib < 0:
             raise InvalidArgumentError("sigma_lib must be non-negative")
+        require_integer("burn_in_steps", self.burn_in_steps)
         if self.burn_in_steps < 1:
             raise InvalidArgumentError("burn_in_steps must be >= 1")
 
@@ -313,6 +317,7 @@ def simulate_expression(
     The network's half-responses must all be positive, as
     :func:`assign_half_responses` makes them.
     """
+    require_integer("n_cells", n_cells)
     if n_cells < 1:
         raise InvalidArgumentError("n_cells must be >= 1")
     if not np.all(grn.half_response > 0):
@@ -334,12 +339,15 @@ def _simulate_block(grn, cfg, cells, seed, base, signed, threshold):
     rngs = [np.random.default_rng(mix_seed(seed, c)) for c in cells]
     x = np.zeros((block, grn.genes))
     sqrt_dt = math.sqrt(_DT)
-    # One buffer, refilled per chunk: row i holds cell i's draws.
-    buffer = np.empty((block, min(_STEP_CHUNK, cfg.burn_in_steps), 2, grn.genes))
+    # One buffer of at most _NOISE_BYTES (at least one step), refilled per
+    # chunk: row i holds cell i's draws.
+    step_bytes = block * 2 * grn.genes * 8
+    step_chunk = max(1, min(cfg.burn_in_steps, _NOISE_BYTES // step_bytes))
+    buffer = np.empty((block, step_chunk, 2, grn.genes))
 
     done = 0
     while done < cfg.burn_in_steps:
-        chunk = min(_STEP_CHUNK, cfg.burn_in_steps - done)
+        chunk = min(step_chunk, cfg.burn_in_steps - done)
         # Per-cell streams: chunked draws consume each stream sequentially,
         # so block/chunk boundaries cannot change the numbers.
         noise = buffer[:, :chunk]

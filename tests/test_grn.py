@@ -67,6 +67,12 @@ def test_sampled_configs_stay_in_prior_ranges():
         (SergioConfig, {"sigma_lib": -0.5}),
         (SergioConfig, {"hill_gamma": -1.0}),
         (SergioConfig, {"hill_gamma": 0.0}),
+        (SergioConfig, {"burn_in_steps": 2.5}),
+        (SergioConfig, {"burn_in_steps": True}),
+        (SergioConfig, {"zeta": np.nan}),
+        (SergioConfig, {"hill_gamma": np.inf}),
+        (SergioConfig, {"mu_lib": np.nan}),
+        (SergioConfig, {"xi_dropout": -np.inf}),
     ],
     ids=[
         "k_groups",
@@ -80,6 +86,12 @@ def test_sampled_configs_stay_in_prior_ranges():
         "sigma_lib_negative",
         "hill_gamma_negative",
         "hill_gamma_zero",
+        "burn_in_steps_float",
+        "burn_in_steps_bool",
+        "zeta_nan",
+        "hill_gamma_inf",
+        "mu_lib_nan",
+        "xi_dropout_inf",
     ],
 )
 def test_configs_reject_out_of_range_values(cls, kwargs):
@@ -266,6 +278,13 @@ def test_simulate_rejects_a_network_without_half_responses(p_sparsity):
         grnmod.simulate_expression(raw, SergioConfig(burn_in_steps=10), 2, seed=0)
 
 
+@pytest.mark.parametrize("n_cells", [0, 2.5, True], ids=["zero", "float", "bool"])
+def test_simulate_rejects_a_cell_count_that_is_not_a_positive_integer(n_cells):
+    g = _manual_grn(2, [(0, 1, 2.0)], {0: 1.0})
+    with pytest.raises(InvalidArgumentError, match="n_cells"):
+        grnmod.simulate_expression(g, SergioConfig(burn_in_steps=10), n_cells, seed=0)
+
+
 def test_simulate_deterministic_and_chunk_invariant():
     rng = np.random.default_rng(23)
     cfg_g = GrnConfig(genes=6, k_groups=1, p_sparsity=2.0, delta_in=50, delta_out=5, w_modularity=1)
@@ -286,23 +305,26 @@ def test_simulate_is_bit_identical_across_block_and_chunk_boundaries(monkeypatch
     cfg = SergioConfig(burn_in_steps=300)
     whole = grnmod.simulate_expression(g, cfg, 9, seed=99)
     monkeypatch.setattr(grnmod, "_CELL_BLOCK", 4)
-    monkeypatch.setattr(grnmod, "_STEP_CHUNK", 7)
-    assert np.array_equal(grnmod.simulate_expression(g, cfg, 9, seed=99), whole)
+    # Blocks of 4, 4 and 1 cells; the bound holds 1 or 7 steps of a full block.
+    for chunk in (1, 7):
+        monkeypatch.setattr(grnmod, "_NOISE_BYTES", chunk * 4 * 2 * g.genes * 8)
+        assert np.array_equal(grnmod.simulate_expression(g, cfg, 9, seed=99), whole)
 
 
 def test_simulate_holds_one_chunk_of_burn_in_noise():
-    # Each chunk's draws go into one reused (cells, chunk, 2, genes) buffer,
-    # not a per-cell list that is then stacked beside the previous chunk.
-    g = grnmod.sample_simulation_ready_grn(GrnConfig(genes=10), np.random.default_rng(4))
-    cells, cfg = 200, SergioConfig(burn_in_steps=1000)
-    chunk_bytes = cells * grnmod._STEP_CHUNK * 2 * g.genes * 8
+    # Each chunk's draws go into one reused (cells, chunk, 2, genes) buffer
+    # of at most _NOISE_BYTES: here 12 of the 30 steps.  A chunk of 500
+    # steps would take 164 MB at this size.
+    g = grnmod.sample_simulation_ready_grn(GrnConfig(genes=40), np.random.default_rng(4))
+    cells, cfg = 512, SergioConfig(burn_in_steps=30)
+    assert grnmod._NOISE_BYTES // (cells * 2 * g.genes * 8) < cfg.burn_in_steps
     tracemalloc.start()
     try:
         grnmod.simulate_expression(g, cfg, cells, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * chunk_bytes, peak / chunk_bytes
+    assert peak <= 1.5 * grnmod._NOISE_BYTES, peak / grnmod._NOISE_BYTES
 
 
 def test_monotone_regulation_strengthening_activator():
