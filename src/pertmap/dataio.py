@@ -107,17 +107,17 @@ def load_checkpoint(path: Path) -> tuple[np.ndarray, ModelConfig, dict]:
     member CRCs included, with a 0-d unicode JSON header of format 2 and
     only float32 members), when the header's ``model_config`` or ``extra``
     is missing or not an object, when ``model_config`` has a key that is
-    not a ModelConfig field or a value that is not an integer, or is not a
-    valid ModelConfig (a size below one, heads * head_dim not embed_dim),
+    not a ModelConfig field or is not a valid ModelConfig (a size that is
+    not an integer or is below one, heads * head_dim not embed_dim),
     or when the archive's members other than the header are not exactly
     ``params`` of shape ``(num_values(model_config),)``.  A missing file
     raises FileNotFoundError.
     """
     header, members = read_archive(path, {"model_config": dict, "extra": dict})
     config, names = header["model_config"], {f.name for f in fields(ModelConfig)}
-    bad = sorted(key for key, value in config.items() if key not in names or type(value) is not int)
+    bad = sorted(set(config) - names)
     if bad:
-        raise InvalidArgumentError(f"{path}: model_config entries {bad} are not integer ModelConfig fields")
+        raise InvalidArgumentError(f"{path}: model_config entries {bad} are not ModelConfig fields")
     cfg = ModelConfig(**config)
     if list(members) != ["params"]:
         raise InvalidArgumentError(f"{path}: members {sorted(members)} besides the header are not exactly ['params']")

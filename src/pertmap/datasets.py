@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import dataio, grn as grnmod, scm as scmmod
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_integer
 from .model import ExperimentBundle
 from .seeding import (
     ROLE_INT_NOISE,
@@ -119,11 +119,11 @@ def generate_scm_dataset(
 ) -> PerturbationDataset:
     """Sample linear-model contexts with one intervention per node, each
     batch rescaled to unit column variance."""
+    require_integer("n_samples", n_samples)
     if n_samples < 2:
         raise InvalidArgumentError(f"unit-variance batches need at least two samples, got {n_samples}")
     ds = PerturbationDataset(kind=SCM_KIND, d=d, n=n_samples, paired=paired, base_seed=base_seed)
-    jobs = [(c, d, n_samples, edge_prob, paired, base_seed) for c in range(n_contexts)]
-    return _assemble(ds, _scm_context, jobs, workers)
+    return _assemble(ds, _scm_context, n_contexts, (d, n_samples, edge_prob, paired, base_seed), workers)
 
 
 # -- expression (regulatory network) datasets --------------------------------
@@ -164,16 +164,16 @@ def generate_grn_dataset(
     """Simulate expression contexts with one knockout per gene, each batch
     median-count log-normalized."""
     ds = PerturbationDataset(kind=GRN_KIND, d=genes, n=n_cells, paired=paired, base_seed=base_seed)
-    jobs = [(c, genes, n_cells, paired, base_seed) for c in range(n_contexts)]
-    return _assemble(ds, _grn_context, jobs, workers)
+    return _assemble(ds, _grn_context, n_contexts, (genes, n_cells, paired, base_seed), workers)
 
 
-def _assemble(ds: PerturbationDataset, context_fn, jobs, workers: int) -> PerturbationDataset:
-    """Run one job per context, serially or in worker processes, and file
-    each context's batches and treatment codes into ``ds``."""
-    if not jobs:
-        raise InvalidArgumentError("n_contexts must be >= 1")
-    if workers <= 1:
+def _assemble(ds: PerturbationDataset, context_fn, n_contexts: int, args: tuple, workers: int) -> PerturbationDataset:
+    """Run ``context_fn((c, *args))`` for each context c, serially or in worker
+    processes, and file each context's batches and treatment codes into ``ds``."""
+    require_integer("n_contexts", n_contexts, 1)
+    require_integer("workers", workers, 1)
+    jobs = [(c, *args) for c in range(n_contexts)]
+    if workers == 1:
         results = [context_fn(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -305,10 +305,11 @@ class BundleSampler:
     ):
         if not train_conditions:
             raise InvalidArgumentError("no train conditions to sample from")
-        if k_context < 0 or max_context < 0 or n_obs_tokens < 1 or m_tokens < 1:
-            raise InvalidArgumentError(
-                f"k_context {k_context} or max_context {max_context} < 0, or token count {n_obs_tokens, m_tokens} < 1"
-            )
+        require_integer("k_context", k_context, 0)
+        require_integer("max_context", max_context, 0)
+        require_integer("seed", seed, 0)
+        require_integer("n_obs_tokens", n_obs_tokens, 1)
+        require_integer("m_tokens", m_tokens, 1)
         unknown = [c for c in train_conditions if (c.context_id, c.treatment_id) not in dataset.interventional]
         if unknown:
             raise InvalidArgumentError(f"train conditions {unknown} are not in the dataset")
@@ -365,6 +366,8 @@ def build_eval_bundle(
     max_rows: Optional[int] = None,
 ) -> ExperimentBundle:
     """Inference bundle for one test condition with an explicit context set."""
+    if max_rows is not None:
+        require_integer("max_rows", max_rows, 1)
     ctx = condition.context_id
     unknown = [t for t in (condition.treatment_id, *context_treatments) if (ctx, t) not in dataset.interventional]
     if unknown:

@@ -2,10 +2,15 @@
 
 Validation problems (bad arguments, malformed inputs) map to CLI exit code 2,
 numerical problems (divergence, non-convergence) to exit code 3.
+
+A scalar argument (a count, rate or seed) is checked by one call to
+:func:`require_integer` or :func:`require_real`, which decide what is valid
+and how a rejection reads; NumPy scalars pass them, bool does not.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -38,8 +43,26 @@ class UndefinedCorrelationError(UndefinedMetricError):
     """A correlation is undefined because one input has zero variance."""
 
 
-def require_integer(name: str, value) -> None:
-    """Raise InvalidArgumentError unless ``value`` is an integer; NumPy
-    integers pass, bool and float do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+def require_integer(name: str, value, minimum: int | None = None, maximum: int | None = None) -> None:
+    """Raise InvalidArgumentError unless ``value`` is an integer within the
+    bounds that are given; NumPy integers pass, bool and float do not."""
+    integral = not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    if not (integral and (minimum is None or value >= minimum) and (maximum is None or value <= maximum)):
+        raise InvalidArgumentError(f"{name} must be an integer{_bounds(minimum, maximum)}, got {value!r}")
+
+
+def require_real(name: str, value, low: float | None = None, strict: bool = False, high: float | None = None) -> None:
+    """Raise InvalidArgumentError unless ``value`` is a finite real number of
+    at least ``low`` (above it when ``strict``) and at most ``high``, where
+    given; NumPy floats and integers pass, bool does not."""
+    finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    if not (finite and (low is None or (value > low if strict else value >= low)) and (high is None or value <= high)):
+        raise InvalidArgumentError(f"{name} must be a finite real number{_bounds(low, high, strict)}, got {value!r}")
+
+
+def _bounds(low, high, strict: bool = False) -> str:
+    """A rejection's bound clause, such as " at least 0 and at most 1"."""
+    words = [f"{'above' if strict else 'at least'} {low}"] if low is not None else []
+    if high is not None:
+        words.append(f"at most {high}")
+    return " " + " and ".join(words) if words else ""

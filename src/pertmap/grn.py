@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import networkx as nx
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError, require_integer
+from .errors import InvalidArgumentError, NumericalFailureError, require_integer, require_real
 from .seeding import mix_seed
 
 _HALF_RESPONSE_FLOOR = 1e-6
@@ -50,12 +50,11 @@ class GrnConfig:
     w_modularity: float = 100.0  # within-group attachment weight
 
     def __post_init__(self):
-        if self.k_groups < 1:
-            raise InvalidArgumentError("k_groups must be >= 1")
-        if self.p_sparsity < 0:
-            raise InvalidArgumentError("p_sparsity must be non-negative")
-        if min(self.delta_in, self.delta_out, self.w_modularity) <= 0:
-            raise InvalidArgumentError("delta_in, delta_out and w_modularity must be positive")
+        require_integer("genes", self.genes, 2)
+        require_integer("k_groups", self.k_groups, 1)
+        require_real("p_sparsity", self.p_sparsity, 0.0)
+        for name in ("delta_in", "delta_out", "w_modularity"):
+            require_real(name, getattr(self, name), 0.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -71,16 +70,11 @@ class SergioConfig:
     xi_dropout: float = 60.0  # logistic slope
 
     def __post_init__(self):
-        for name in ("hill_gamma", "zeta", "mu_outlier", "mu_lib", "sigma_lib", "xi_dropout"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise InvalidArgumentError(f"{name} must be finite, got {value}")
-        if self.hill_gamma <= 0:
-            raise InvalidArgumentError("hill_gamma must be positive")
-        if self.sigma_lib < 0:
-            raise InvalidArgumentError("sigma_lib must be non-negative")
-        require_integer("burn_in_steps", self.burn_in_steps)
-        if self.burn_in_steps < 1:
-            raise InvalidArgumentError("burn_in_steps must be >= 1")
+        require_real("hill_gamma", self.hill_gamma, 0.0, strict=True)
+        require_real("sigma_lib", self.sigma_lib, 0.0)
+        require_integer("burn_in_steps", self.burn_in_steps, 1)
+        for name in ("zeta", "mu_outlier", "mu_lib", "xi_dropout"):
+            require_real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -172,8 +166,6 @@ def sample_grn(cfg: GrnConfig, rng: np.random.Generator) -> Grn:
     :func:`ensure_master_regulators` and :func:`assign_kinetics` (or use
     :func:`sample_simulation_ready_grn`) before simulating.
     """
-    if cfg.genes < 2:
-        raise InvalidArgumentError("a regulatory network needs at least 2 genes")
     g = cfg.genes
     groups = rng.integers(0, cfg.k_groups, size=g)
     n_edges = int(rng.poisson(cfg.p_sparsity * g))
@@ -294,8 +286,7 @@ def knockout(grn: Grn, gene: int) -> Grn:
     All incident edges disappear and any basal rate is dropped; the gene's
     column remains in simulated matrices and decays to zero.
     """
-    if not 0 <= gene < grn.genes:
-        raise InvalidArgumentError(f"gene {gene} out of range for {grn.genes} genes")
+    require_integer("gene", gene, 0, grn.genes - 1)
     basal = grn.basal.copy()
     basal[gene] = 0.0
     return replace(grn.keep_edges((grn.regulators != gene) & (grn.targets != gene)), basal=basal)
@@ -317,9 +308,7 @@ def simulate_expression(
     The network's half-responses must all be positive, as
     :func:`assign_half_responses` makes them.
     """
-    require_integer("n_cells", n_cells)
-    if n_cells < 1:
-        raise InvalidArgumentError("n_cells must be >= 1")
+    require_integer("n_cells", n_cells, 1)
     if not np.all(grn.half_response > 0):
         raise InvalidArgumentError("half-responses must be positive; see assign_half_responses")
     signed = np.zeros((grn.genes, grn.genes))

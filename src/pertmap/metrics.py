@@ -38,6 +38,8 @@ from .errors import (
     NumericalFailureError,
     UndefinedCorrelationError,
     UndefinedMetricError,
+    require_integer,
+    require_real,
 )
 
 _LOG_FC_PSEUDOCOUNT = 1e-6
@@ -59,12 +61,9 @@ class MetricConfig:
     sinkhorn_tol: float = 1e-4
 
     def __post_init__(self):
-        if not (math.isfinite(self.sinkhorn_epsilon) and self.sinkhorn_epsilon > 0):
-            raise InvalidArgumentError("sinkhorn_epsilon must be finite and positive")
-        if self.sinkhorn_max_iters < 1:
-            raise InvalidArgumentError("sinkhorn_max_iters must be >= 1")
-        if not self.sinkhorn_tol > 0:
-            raise InvalidArgumentError("sinkhorn_tol must be positive")
+        require_real("sinkhorn_epsilon", self.sinkhorn_epsilon, 0.0, strict=True)
+        require_integer("sinkhorn_max_iters", self.sinkhorn_max_iters, 1)
+        require_real("sinkhorn_tol", self.sinkhorn_tol, 0.0, strict=True)
 
 
 # -- entropic optimal transport -------------------------------------------

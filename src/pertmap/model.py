@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_integer
 from .layers import AttentionParams, film_modulate, gelu, joint_attention, layer_norm, linear, silu
 
 _STREAMS = ("noise", "cells", "treat")
@@ -60,9 +60,8 @@ class ModelConfig:
         return 2 * self.embed_dim
 
     def __post_init__(self):
-        low = [f.name for f in fields(self) if getattr(self, f.name) < (0 if f.name == "register_tokens" else 1)]
-        if low:
-            raise InvalidArgumentError(f"model sizes {low} must be at least 1 (register_tokens at least 0)")
+        for f in fields(self):
+            require_integer(f.name, getattr(self, f.name), 0 if f.name == "register_tokens" else 1)
         if self.heads * self.head_dim != self.embed_dim:
             raise InvalidArgumentError("heads * head_dim must equal embed_dim")
 
@@ -162,6 +161,7 @@ def num_values(cfg: ModelConfig) -> int:
 
 def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterSet:
     """Allocate and initialize all learnable tensors, deterministically."""
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     layout = parameter_layout(cfg)
     params = ParameterSet(layout, np.zeros(num_values(cfg), dtype=dtype))

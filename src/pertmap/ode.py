@@ -15,13 +15,12 @@ finiteness, and reports failures as :class:`NumericalFailureError`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError, require_integer
+from .errors import InvalidArgumentError, NumericalFailureError, require_integer, require_real
 
 # Dormand-Prince 5(4) tableau, as scipy's RK45 writes it.
 _C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
@@ -84,19 +83,19 @@ def _rk_step(fun, t, y, f, h, K):
 
 
 def _check_arguments(y0, t0, t1, rtol, atol, max_steps):
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise InvalidArgumentError(f"t0 and t1 must be finite, got {t0} and {t1}")
-    if not (math.isfinite(rtol) and rtol >= _MIN_RTOL):
-        raise InvalidArgumentError(f"rtol must be finite and >= {_MIN_RTOL:.3g}, got {rtol}")
-    if not (math.isfinite(atol) and atol >= 0):
-        raise InvalidArgumentError(f"atol must be finite and non-negative, got {atol}")
-    require_integer("max_steps", max_steps)
-    if max_steps < 1:
-        raise InvalidArgumentError(f"max_steps must be >= 1, got {max_steps}")
+    require_real("t0 and t1", t0)
+    require_real("t0 and t1", t1)
+    require_real("rtol", rtol, _MIN_RTOL)
+    require_real("atol", atol, 0.0)
+    require_integer("max_steps", max_steps, 1)
     if y0.size == 0:
         raise InvalidArgumentError("the initial state must not be empty")
     if not np.all(np.isfinite(y0)):
         raise InvalidArgumentError("the initial state must be finite")
+    # The initial step divides by this scale: a zero entry makes the step size
+    # NaN and every attempt a rejection, so the solve would never end.
+    if not np.all(atol + np.abs(y0) * rtol > 0):
+        raise InvalidArgumentError("atol must be positive when rtol * |y0| has a zero component")
 
 
 def integrate_dopri5(
@@ -122,8 +121,9 @@ def integrate_dopri5(
 
     Raises :class:`InvalidArgumentError` for a non-finite t0 or t1, an rtol
     that is not finite or below 100 machine epsilons, an atol that is
-    negative or not finite, a ``max_steps`` that is not an integer >= 1, or
-    an empty or non-finite initial state.  Raises
+    negative or not finite, a ``max_steps`` that is not an integer >= 1, an
+    empty or non-finite initial state, or atol 0 with a component of
+    rtol * |y0| at zero.  Raises
     :class:`NumericalFailureError` when t1 <= t0, when the budget is
     exhausted, when the step size underflows, or at the first field value
     that is not finite.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError, require_integer, require_real
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,9 @@ class Intervention:
 
     target: int
     value: float
+
+    def __post_init__(self):
+        require_real("intervention value", self.value)
 
 
 def sample_dag(d: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -38,10 +41,8 @@ def sample_dag(d: int, p: float, rng: np.random.Generator) -> np.ndarray:
     and the matrix is rescaled by :func:`normalize_weights` so that node
     variances come out near one.
     """
-    if d < 1:
-        raise InvalidArgumentError(f"node count must be >= 1, got {d}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"edge probability must be in [0, 1], got {p}")
+    require_integer("d", d, 1)
+    require_real("edge probability p", p, 0.0, high=1.0)
 
     perm = rng.permutation(d)
     w = np.zeros((d, d))
@@ -85,16 +86,15 @@ def apply_intervention(w: np.ndarray, iv: Intervention) -> np.ndarray:
     to ``iv.value`` regardless of noise.
     """
     d = w.shape[0]
-    if not 0 <= iv.target < d:
-        raise InvalidArgumentError(f"intervention target {iv.target} out of range for d={d}")
+    require_integer("intervention target", iv.target, 0, d - 1)
     w = w.copy()
     w[iv.target, :] = 0.0
     return w
 
 
 def _noise(n: int, d: int, seed: int) -> np.ndarray:
-    if n < 1:
-        raise InvalidArgumentError(f"sample count must be >= 1, got {n}")
+    require_integer("n", n, 1)
+    require_integer("seed", seed, 0)
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
@@ -125,8 +125,7 @@ def sample_intervention_value(rng: np.random.Generator) -> float:
 
 def encode_treatment(iv: Intervention, d: int) -> np.ndarray:
     """One-hot treatment code of length d carrying the intervention value."""
-    if not 0 <= iv.target < d:
-        raise InvalidArgumentError(f"treatment target {iv.target} out of range for d={d}")
+    require_integer("treatment target", iv.target, 0, d - 1)
     code = np.zeros(d)
     code[iv.target] = iv.value
     return code

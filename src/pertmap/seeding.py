@@ -13,6 +13,8 @@ effectively independent seeds.
 
 from __future__ import annotations
 
+from .errors import require_integer
+
 _MASK64 = (1 << 64) - 1
 
 # Stream roles, used as the final word of the mix.  A role's number is part
@@ -39,5 +41,6 @@ def mix_seed(*words: int) -> int:
     """
     h = 0
     for w in words:
+        require_integer("seed", w)
         h = _splitmix64((h ^ (int(w) & _MASK64)) & _MASK64)
     return h

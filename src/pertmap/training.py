@@ -37,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .errors import InvalidArgumentError, NumericalFailureError, require_integer
+from .errors import InvalidArgumentError, NumericalFailureError, require_integer, require_real
 from .model import ExperimentBundle, ModelConfig, build_model, forward, parameter_layout
 from .ode import integrate_dopri5
 
@@ -64,18 +64,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("total_steps", "batch_size", "seed"):
-            require_integer(name, getattr(self, name))
-        if self.total_steps < 1:
-            raise InvalidArgumentError("total_steps must be >= 1")
-        if self.batch_size < 1:
-            raise InvalidArgumentError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.peak_lr) and self.peak_lr > 0):
-            raise InvalidArgumentError(f"peak_lr must be finite and positive, got {self.peak_lr}")
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise InvalidArgumentError(f"ema_decay must lie in [0, 1], got {self.ema_decay}")
+        require_integer("total_steps", self.total_steps, 1)
+        require_real("peak_lr", self.peak_lr, 0.0, strict=True)
+        require_real("ema_decay", self.ema_decay, 0.0, high=1.0)
+        require_integer("batch_size", self.batch_size, 1)
+        require_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -88,8 +81,7 @@ class GuidanceConfig:
     omega: float = 2.0
 
     def __post_init__(self):
-        if not math.isfinite(self.omega):
-            raise InvalidArgumentError(f"omega must be finite, got {self.omega}")
+        require_real("omega", self.omega)
 
 
 @dataclass
@@ -309,8 +301,8 @@ def generate(
     seed: int,
 ) -> np.ndarray:
     """Sample M predicted post-perturbation cells by integrating the flow."""
-    if m < 1:
-        raise InvalidArgumentError("m must be >= 1")
+    require_integer("m", m, 1)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     y0 = rng.standard_normal((m, model_cfg.max_genes))
     field = guided_field(params, model_cfg, bundle, guidance.omega)

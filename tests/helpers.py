@@ -1,11 +1,13 @@
 """Shared test utilities: central finite differences against the tape,
 unfused reference compositions of the fused layer primitives, the training
 loop with one graph per bundle, the per-threshold precision-recall sweep,
-and archive editing."""
+archive editing, and the wrongly typed values every config field rejects."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,3 +253,19 @@ def edit_archive(path, edit: Callable[[dict], None]) -> None:
         members["header"] = np.array(json.dumps(members["header"]))
     with open(path, "wb") as fh:
         np.savez(fh, **members)
+
+
+# -- config fields ------------------------------------------------------------
+
+# Values a config field rejects whatever its bounds, keyed by the type its
+# annotation names (a string, since the configs' modules postpone annotations).
+WRONG_TYPES = {"int": (2.5, True), "float": (math.nan, math.inf, True)}
+
+
+def wrong_type_cases(cls, tested=()) -> list[tuple[str, object]]:
+    """(field, value) for every field of the config dataclass ``cls`` and
+    every value of WRONG_TYPES for its type, less the (field, value) pairs
+    in ``tested``: a pair listed twice would give two tests one id."""
+    skip = {(field, repr(value)) for field, value in tested}
+    pairs = [(f.name, value) for f in dataclasses.fields(cls) for value in WRONG_TYPES[f.type]]
+    return [(field, value) for field, value in pairs if (field, repr(value)) not in skip]

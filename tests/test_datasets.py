@@ -229,7 +229,16 @@ def test_paired_scm_dataset_changes_only_the_treated_gene_and_its_descendants():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(k_context=-1), dict(max_context=-1), dict(n_obs_tokens=0), dict(m_tokens=0)],
+    [
+        dict(k_context=-1),
+        dict(max_context=-1),
+        dict(n_obs_tokens=0),
+        dict(m_tokens=0),
+        pytest.param(dict(k_context=2.5), id="k_context=2.5"),
+        pytest.param(dict(m_tokens=True), id="m_tokens=True"),
+        pytest.param(dict(seed=-1), id="seed=-1"),
+        pytest.param(dict(seed=2.5), id="seed=2.5"),
+    ],
     ids=lambda kw: ",".join(kw),
 )
 def test_bundle_sampler_rejects_bad_sizes(kwargs):
@@ -239,6 +248,35 @@ def test_bundle_sampler_rejects_bad_sizes(kwargs):
     args = dict(k_context=1, max_context=2, seed=0, n_obs_tokens=4, m_tokens=4) | kwargs
     with pytest.raises(InvalidArgumentError):
         datasets.BundleSampler(ds, ds.conditions, **args)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n_contexts=2.5),
+        dict(n_samples=8.0),
+        dict(d=3.0),
+        dict(edge_prob=True),
+        dict(base_seed=2.7),
+        dict(workers=2.5),
+        dict(workers=0),
+    ],
+    ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_scm_dataset_rejects_a_malformed_count_or_seed(kwargs):
+    # Unchecked, base_seed=2.7 generated base seed 2's data under a header
+    # that load_dataset rejects, edge_prob=True drew complete graphs, workers=0
+    # ran serially, and the other values raised a raw TypeError or AxisError.
+    (name,) = kwargs
+    match = {"base_seed": "seed", "edge_prob": "edge probability"}.get(name, name)
+    with pytest.raises(InvalidArgumentError, match=match):
+        datasets.generate_scm_dataset(**(dict(n_contexts=1, d=3, n_samples=8) | kwargs))
+
+
+def test_grn_dataset_rejects_a_gene_count_that_is_not_an_integer():
+    # Unchecked, it raised a raw TypeError from NumPy.
+    with pytest.raises(InvalidArgumentError, match="genes"):
+        datasets.generate_grn_dataset(1, 4.0, 5)
 
 
 def test_bundle_sampler_rejects_a_train_condition_the_dataset_lacks():
@@ -259,6 +297,15 @@ def test_build_eval_bundle_rejects_a_context_treatment_the_dataset_lacks():
     condition = ds.conditions[0]
     with pytest.raises(InvalidArgumentError, match="not in the dataset"):
         datasets.build_eval_bundle(ds, condition, [7])
+
+
+@pytest.mark.parametrize("max_rows", [-1, 0, 2.5, True])
+def test_build_eval_bundle_rejects_a_row_count_that_is_not_a_positive_integer(max_rows):
+    # Unchecked, -1 dropped the last row through a negative slice, 0 gave
+    # empty batches, True one row, and 2.5 a raw TypeError.
+    ds = datasets.generate_scm_dataset(1, 3, 8, base_seed=4)
+    with pytest.raises(InvalidArgumentError, match="max_rows"):
+        datasets.build_eval_bundle(ds, ds.conditions[0], [], max_rows=max_rows)
 
 
 @pytest.mark.parametrize("case", ["query", "repeat"])

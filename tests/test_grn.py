@@ -8,6 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from helpers import wrong_type_cases
 from pertmap import grn as grnmod
 from pertmap.errors import InvalidArgumentError
 from pertmap.grn import Grn, GrnConfig, SergioConfig
@@ -53,47 +54,34 @@ def test_sampled_configs_stay_in_prior_ranges():
         assert 45 <= s.xi_dropout <= 82
 
 
-@pytest.mark.parametrize(
-    "cls, kwargs",
-    [
-        (GrnConfig, {"genes": 5, "k_groups": 0}),
-        (GrnConfig, {"genes": 5, "p_sparsity": -0.5}),
-        (SergioConfig, {"burn_in_steps": 0}),
-        (GrnConfig, {"genes": 5, "delta_in": 0.0}),
-        (GrnConfig, {"genes": 5, "delta_in": -50.0}),
-        (GrnConfig, {"genes": 5, "delta_out": 0.0}),
-        (GrnConfig, {"genes": 5, "w_modularity": -1.0}),
-        (GrnConfig, {"genes": 5, "w_modularity": 0.0}),
-        (SergioConfig, {"sigma_lib": -0.5}),
-        (SergioConfig, {"hill_gamma": -1.0}),
-        (SergioConfig, {"hill_gamma": 0.0}),
-        (SergioConfig, {"burn_in_steps": 2.5}),
-        (SergioConfig, {"burn_in_steps": True}),
-        (SergioConfig, {"zeta": np.nan}),
-        (SergioConfig, {"hill_gamma": np.inf}),
-        (SergioConfig, {"mu_lib": np.nan}),
-        (SergioConfig, {"xi_dropout": -np.inf}),
-    ],
-    ids=[
-        "k_groups",
-        "p_sparsity",
-        "burn_in_steps",
-        "delta_in_zero",
-        "delta_in_negative",
-        "delta_out_zero",
-        "w_modularity_negative",
-        "w_modularity_zero",
-        "sigma_lib_negative",
-        "hill_gamma_negative",
-        "hill_gamma_zero",
-        "burn_in_steps_float",
-        "burn_in_steps_bool",
-        "zeta_nan",
-        "hill_gamma_inf",
-        "mu_lib_nan",
-        "xi_dropout_inf",
-    ],
-)
+_OUT_OF_RANGE = [
+    pytest.param(GrnConfig, {"genes": 5, "k_groups": 0}, id="k_groups"),
+    pytest.param(GrnConfig, {"genes": 5, "p_sparsity": -0.5}, id="p_sparsity"),
+    pytest.param(SergioConfig, {"burn_in_steps": 0}, id="burn_in_steps"),
+    pytest.param(GrnConfig, {"genes": 5, "delta_in": 0.0}, id="delta_in_zero"),
+    pytest.param(GrnConfig, {"genes": 5, "delta_in": -50.0}, id="delta_in_negative"),
+    pytest.param(GrnConfig, {"genes": 5, "delta_out": 0.0}, id="delta_out_zero"),
+    pytest.param(GrnConfig, {"genes": 5, "w_modularity": -1.0}, id="w_modularity_negative"),
+    pytest.param(GrnConfig, {"genes": 5, "w_modularity": 0.0}, id="w_modularity_zero"),
+    pytest.param(SergioConfig, {"sigma_lib": -0.5}, id="sigma_lib_negative"),
+    pytest.param(SergioConfig, {"hill_gamma": -1.0}, id="hill_gamma_negative"),
+    pytest.param(SergioConfig, {"hill_gamma": 0.0}, id="hill_gamma_zero"),
+    pytest.param(SergioConfig, {"burn_in_steps": 2.5}, id="burn_in_steps_float"),
+    pytest.param(SergioConfig, {"burn_in_steps": True}, id="burn_in_steps_bool"),
+    pytest.param(SergioConfig, {"zeta": np.nan}, id="zeta_nan"),
+    pytest.param(SergioConfig, {"hill_gamma": np.inf}, id="hill_gamma_inf"),
+    pytest.param(SergioConfig, {"mu_lib": np.nan}, id="mu_lib_nan"),
+    pytest.param(SergioConfig, {"xi_dropout": -np.inf}, id="xi_dropout_inf"),
+]
+# Every int and float field with each value of WRONG_TYPES not listed above.
+_OUT_OF_RANGE += [
+    pytest.param(cls, required | {field: value}, id=f"{field}={value}")
+    for cls, required in ((GrnConfig, {"genes": 5}), (SergioConfig, {}))
+    for field, value in wrong_type_cases(cls, [pair for case in _OUT_OF_RANGE for pair in case.values[1].items()])
+]
+
+
+@pytest.mark.parametrize("cls, kwargs", _OUT_OF_RANGE)
 def test_configs_reject_out_of_range_values(cls, kwargs):
     with pytest.raises(InvalidArgumentError):
         cls(**kwargs)
@@ -345,6 +333,26 @@ def test_knockout_removes_incident_edges_and_production():
     assert ko.basal.tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(InvalidArgumentError):
         grnmod.knockout(g, 7)
+
+
+@pytest.mark.parametrize("gene", [2.5, True], ids=["float", "bool"])
+def test_knockout_rejects_a_gene_that_is_not_an_integer(gene):
+    # Unchecked, 2.5 raised a raw IndexError and True knocked out gene 1.
+    g = _manual_grn(3, [(0, 1, 2.0), (1, 2, 2.0)], {0: 1.0, 1: 0.5})
+    with pytest.raises(InvalidArgumentError, match="gene"):
+        grnmod.knockout(g, gene)
+
+
+@pytest.mark.parametrize("step", ["simulate", "technical_noise"])
+def test_prior_rejects_a_seed_that_is_not_an_integer(step):
+    # Unchecked, the seed was truncated: seed 2.5 gave seed 2's cells.
+    g = _manual_grn(2, [(0, 1, 2.0)], {0: 1.0})
+    cfg = SergioConfig(burn_in_steps=10)
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        if step == "simulate":
+            grnmod.simulate_expression(g, cfg, 2, seed=2.5)
+        else:
+            grnmod.apply_technical_noise(np.ones((2, 2)), cfg, seed=2.5)
 
 
 def test_knockout_of_sink_gene_leaves_other_columns_unchanged():

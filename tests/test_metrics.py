@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ref_auprc_curve
+from helpers import ref_auprc_curve, wrong_type_cases
 from pertmap import metrics
 from pertmap.errors import (
     DegenerateEffectError,
@@ -147,20 +147,22 @@ def test_sinkhorn_cost_that_overflows_raises():
         metrics.sinkhorn_divergence(y, y_hat)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("sinkhorn_epsilon", 0.0),
-        ("sinkhorn_epsilon", -0.1),
-        ("sinkhorn_epsilon", math.nan),
-        ("sinkhorn_epsilon", math.inf),
-        ("sinkhorn_max_iters", 0),
-        ("sinkhorn_max_iters", -5),
-        ("sinkhorn_tol", 0.0),
-        ("sinkhorn_tol", -1e-4),
-        ("sinkhorn_tol", math.nan),
-    ],
-)
+_SOLVER_CASES = [
+    ("sinkhorn_epsilon", 0.0),
+    ("sinkhorn_epsilon", -0.1),
+    ("sinkhorn_epsilon", math.nan),
+    ("sinkhorn_epsilon", math.inf),
+    ("sinkhorn_max_iters", 0),
+    ("sinkhorn_max_iters", -5),
+    ("sinkhorn_tol", 0.0),
+    ("sinkhorn_tol", -1e-4),
+    ("sinkhorn_tol", math.nan),
+]
+# Every int and float field with each value of WRONG_TYPES not listed above.
+_SOLVER_CASES += wrong_type_cases(MetricConfig, _SOLVER_CASES)
+
+
+@pytest.mark.parametrize("field, value", _SOLVER_CASES)
 def test_metric_config_rejects_settings_the_solver_cannot_use(field, value):
     # Without the checks each surfaces as a NumericalFailureError from the
     # solver: tol 0 or NaN runs the whole budget, a negative budget "did not

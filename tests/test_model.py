@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import wrong_type_cases
 from pertmap import autodiff as ad
 from pertmap import model as mdl
 from pertmap import training as tr
@@ -283,12 +284,21 @@ def test_forward_rejects_stacks_that_do_not_share_their_shapes():
         dict(max_context=0),
         dict(register_tokens=-1),
         dict(heads=-4, head_dim=-16),
+        # Every field with each value of WRONG_TYPES.
+        *(pytest.param({field: value}, id=f"{field}={value}") for field, value in wrong_type_cases(ModelConfig)),
     ],
     ids=lambda sizes: ",".join(sizes),
 )
 def test_model_config_rejects_sizes_below_one(sizes):
     with pytest.raises(InvalidArgumentError, match="at least"):
         dataclasses.replace(mdl.toy_config(), **sizes)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_build_model_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # Unchecked, -1 and 2.5 raised NumPy's raw ValueError and TypeError.
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        mdl.build_model(mdl.toy_config(), seed)
 
 
 def test_model_config_accepts_no_register_tokens():

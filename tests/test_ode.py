@@ -269,6 +269,27 @@ def test_rtol_at_scipys_floor_is_accepted():
     assert res.steps_taken >= 1
 
 
+@pytest.mark.parametrize("y0", [[0.0, 0.0], [0.0, 1.0]], ids=["zero", "one_zero"])
+def test_zero_atol_with_a_zero_state_component_is_rejected(y0):
+    # The initial step divided 0/0 there, and every attempt at t = nan was
+    # rejected, so the solve never ended (scipy's RK45 does the same).  The
+    # field raises after 1000 evaluations, so a regression fails, not hangs.
+    evaluations = 0
+
+    def field(t, y):
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations > 1000:
+            raise AssertionError("the solve did not end")
+        return -y
+
+    with pytest.raises(InvalidArgumentError, match="atol"):
+        integrate_dopri5(field, np.array(y0), 0.0, 1.0, atol=0.0)
+    # With no zero component, atol 0 is a valid problem and stays scipy's.
+    case = (lambda t, y: -y, np.array([0.5, 1.0]), 0.0, 1.0, 1e-3, 0.0)
+    assert _outcome(integrate_dopri5, *case) == _outcome(_scipy_rk45, *case)
+
+
 @pytest.mark.parametrize("t1", [0.5, 0.0], ids=["empty", "backward"])
 def test_an_interval_that_does_not_move_forward_is_a_numerical_failure(t1):
     with pytest.raises(NumericalFailureError, match="t1 > t0"):

@@ -27,6 +27,37 @@ def test_sample_dag_rejects_zero_nodes():
         scm.sample_dag(0, 0.5, np.random.default_rng(0))
 
 
+_W = np.array([[0.0, 0.0], [0.5, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: scm.sample_dag(3.0, 0.5, np.random.default_rng(0)),
+        lambda: scm.sample_dag(True, 0.5, np.random.default_rng(0)),
+        lambda: scm.sample_dag(3, True, np.random.default_rng(0)),
+        lambda: scm.sample_observational(_W, 2.5, 0),
+        lambda: scm.sample_observational(_W, True, 0),
+        lambda: scm.sample_observational(_W, 4, -1),
+        lambda: scm.sample_observational(_W, 4, 2.5),
+        lambda: scm.Intervention(0, np.nan),
+        lambda: scm.apply_intervention(_W, scm.Intervention(1.5, 1.0)),
+        lambda: scm.apply_intervention(_W, scm.Intervention(True, 1.0)),
+        lambda: scm.encode_treatment(scm.Intervention(True, 1.0), 2),
+    ],
+    ids=[
+        "sample_dag_d_float", "sample_dag_d_bool", "sample_dag_p_bool", "n_float", "n_bool", "seed_negative",
+        "seed_float", "intervention_value_nan", "target_float", "target_bool", "treatment_target_bool",
+    ],
+)
+def test_entry_points_reject_a_malformed_count_seed_or_target(call):
+    # Unchecked, a float count, seed or target raised NumPy's raw TypeError,
+    # AxisError or IndexError, a negative seed its raw ValueError, a NaN
+    # value gave NaN samples, and True counted as 1.
+    with pytest.raises(InvalidArgumentError):
+        call()
+
+
 def test_sample_dag_single_node_has_no_edges():
     w = scm.sample_dag(1, 0.9, np.random.default_rng(0))
     assert w.shape == (1, 1)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import wrong_type_cases
 
 from pertmap import model as mdl
 from pertmap import training as tr
@@ -110,29 +111,31 @@ def test_train_config_rejects_a_batch_size_below_one():
         tr.TrainConfig(total_steps=1, batch_size=0)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("ema_decay", 2.0),
-        ("ema_decay", -1.0),
-        ("ema_decay", math.nan),
-        ("peak_lr", -1e-3),
-        ("peak_lr", 0.0),
-        ("peak_lr", math.nan),
-        ("peak_lr", math.inf),
-        ("omega", math.nan),
-        ("omega", math.inf),
-        ("omega", -math.inf),
-        ("total_steps", 1.5),
-        ("total_steps", 2.0),
-        ("total_steps", True),
-        ("batch_size", 2.5),
-        ("batch_size", np.float64(2.0)),
-        ("seed", 0.5),
-        ("seed", False),
-        ("seed", -1),
-    ],
-)
+_LOOP_CASES = [
+    ("ema_decay", 2.0),
+    ("ema_decay", -1.0),
+    ("ema_decay", math.nan),
+    ("peak_lr", -1e-3),
+    ("peak_lr", 0.0),
+    ("peak_lr", math.nan),
+    ("peak_lr", math.inf),
+    ("omega", math.nan),
+    ("omega", math.inf),
+    ("omega", -math.inf),
+    ("total_steps", 1.5),
+    ("total_steps", 2.0),
+    ("total_steps", True),
+    ("batch_size", 2.5),
+    ("batch_size", np.float64(2.0)),
+    ("seed", 0.5),
+    ("seed", False),
+    ("seed", -1),
+]
+# Every int and float field with each value of WRONG_TYPES not listed above.
+_LOOP_CASES += [pair for cls in (tr.TrainConfig, tr.GuidanceConfig) for pair in wrong_type_cases(cls, _LOOP_CASES)]
+
+
+@pytest.mark.parametrize("field, value", _LOOP_CASES)
 def test_configs_reject_values_the_loop_cannot_use(field, value):
     # Unchecked, ema_decay=2 trained to EMA weights of 2e5, a NaN peak_lr or
     # omega surfaced later as a non-finite loss or ODE field, a float count
@@ -465,6 +468,21 @@ def test_generate_constant_field_integrates_exactly():
     out = tr.generate(params, MICRO_CFG, bundle, tr.GuidanceConfig(), m=4, seed=7)
     y0 = np.random.default_rng(7).standard_normal((4, 4))
     assert np.allclose(out, y0 + c, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(m=2.5), dict(m=True), dict(seed=-1), dict(seed=2.5)],
+    ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_generate_rejects_a_malformed_count_or_seed(kwargs):
+    # Unchecked, m=2.5 and seed=2.5 raised a raw TypeError, seed=-1 NumPy's
+    # raw ValueError, and m=True drew one cell.
+    params = mdl.build_model(MICRO_CFG, seed=1)
+    bundle = _micro_bundle(np.random.default_rng(5), with_target=False)
+    (name,) = kwargs
+    with pytest.raises(InvalidArgumentError, match=name):
+        tr.generate(params, MICRO_CFG, bundle, tr.GuidanceConfig(), **(dict(m=2, seed=0) | kwargs))
 
 
 def test_guidance_identity_at_omega_one():
