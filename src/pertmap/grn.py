@@ -36,6 +36,9 @@ _DROPOUT_PERCENTILE = 8.0  # of log1p-expression, at the dropout logistic's midp
 _CELL_BLOCK = 512  # cells simulated per vectorized block
 _NOISE_BYTES = 4 * 2**20  # bound on a block's buffer of pre-drawn SDE noise
 _DT = 0.01  # Euler-Maruyama step
+# The largest Poisson mean NumPy's Generator.poisson draws (POISSON_LAM_MAX
+# in numpy/random/_common.pyx); it raises a bare ValueError above it.
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max) - math.sqrt(np.iinfo(np.int64).max) * 10
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,11 @@ class GrnConfig:
         require_integer("genes", self.genes, 2)
         require_integer("k_groups", self.k_groups, 1)
         require_real("p_sparsity", self.p_sparsity, 0.0)
+        # sample_grn draws the edge budget from Poisson(p_sparsity * genes);
+        # a product that overflows is inf, which is rejected.
+        with np.errstate(over="ignore"):
+            budget = self.p_sparsity * self.genes
+        require_real("p_sparsity * genes", budget, high=_POISSON_LAM_MAX)
         for name in ("delta_in", "delta_out", "w_modularity"):
             require_real(name, getattr(self, name), 0.0, strict=True)
 

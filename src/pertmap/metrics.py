@@ -21,6 +21,19 @@ arithmetic step for step, so their values equal scipy's bit for bit
 (``tests/test_metrics.py::test_deg_port_equals_scipy_bit_for_bit``); they
 keep ``scipy.stats``, which costs about 20 MB and 0.7 s to import, out of
 every process.
+
+Two more ports keep the rest of scipy out.  Every squared-Euclidean cost
+matrix is built as ``scipy.spatial.distance.cdist(..., "sqeuclidean")``
+builds it, adding the squared differences gene by gene in gene order
+(``test_cost_port_equals_scipy_cdist_bit_for_bit``); numpy rounds each
+multiply and add on its own on every platform.  The rank-sum test's normal
+CDF is a port of cephes' ``ndtr``, ``erf`` and ``erfc`` with their
+coefficient tables and Horner order, calling ``math.exp`` (the C library's
+exp, which cephes calls too; numpy's own exp rounds differently) per element
+(``test_ndtr_port_equals_scipy_bit_for_bit``).  Together they spare every
+process ``scipy.spatial`` and ``scipy.special``, about 30 MB and 0.3 s of
+imports; ``test_metrics_leave_scipy_unimported`` checks that no scipy
+module loads.
 """
 
 from __future__ import annotations
@@ -29,8 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import ndtr
 
 from .errors import (
     DegenerateEffectError,
@@ -180,6 +191,19 @@ def _two_samples(y: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return y, y_hat
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and of b, as
+    ``scipy.spatial.distance.cdist(a, b, "sqeuclidean")`` computes them: each
+    entry adds the squared differences one gene at a time, in gene order."""
+    out = np.zeros((a.shape[0], b.shape[0]))
+    # A cost that overflows stays inf; the transport solver rejects it.
+    with np.errstate(over="ignore"):
+        for j in range(a.shape[1]):
+            d = a[:, j, None] - b[None, :, j]
+            out += d * d
+    return out
+
+
 def sinkhorn_divergence(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = MetricConfig()) -> float:
     """Debiased entropic transport distance, square-root scale.
 
@@ -189,9 +213,9 @@ def sinkhorn_divergence(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = Me
     """
     y, y_hat = _two_samples(y, y_hat)
     eps, iters, tol = cfg.sinkhorn_epsilon, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol
-    cross = _entropic_ot_value(cdist(y, y_hat, "sqeuclidean"), eps, iters, tol)
-    self_y = _entropic_ot_value(cdist(y, y, "sqeuclidean"), eps, iters, tol)
-    self_h = _entropic_ot_value(cdist(y_hat, y_hat, "sqeuclidean"), eps, iters, tol)
+    cross = _entropic_ot_value(_sq_dists(y, y_hat), eps, iters, tol)
+    self_y = _entropic_ot_value(_sq_dists(y, y), eps, iters, tol)
+    self_h = _entropic_ot_value(_sq_dists(y_hat, y_hat), eps, iters, tol)
     return math.sqrt(max(cross - 0.5 * self_y - 0.5 * self_h, 0.0))
 
 
@@ -205,9 +229,9 @@ def mmd_rbf(y: np.ndarray, y_hat: np.ndarray) -> float:
     non-negative and exactly zero for identical inputs.
     """
     y, y_hat = _two_samples(y, y_hat)
-    d_yy = cdist(y, y, "sqeuclidean")
-    d_hh = cdist(y_hat, y_hat, "sqeuclidean")
-    d_yh = cdist(y, y_hat, "sqeuclidean")
+    d_yy = _sq_dists(y, y)
+    d_hh = _sq_dists(y_hat, y_hat)
+    d_yh = _sq_dists(y, y_hat)
     total = 0.0
     for gamma in MMD_GAMMAS:
         mmd2 = (
@@ -236,7 +260,7 @@ def transposed_rank(predicted_means: np.ndarray, observed_means: np.ndarray) -> 
     p = pred.shape[0]
     if obs.shape[0] != p or p < 2:
         raise InvalidArgumentError("transposed rank needs two or more aligned conditions")
-    dists = np.sqrt(cdist(pred, obs, "sqeuclidean"))
+    dists = np.sqrt(_sq_dists(pred, obs))
     matched = np.diag(dists)
     closer = dists <= matched[:, None]
     np.fill_diagonal(closer, False)
@@ -275,6 +299,82 @@ def variance_correlation(y_int: np.ndarray, y_hat: np.ndarray) -> float:
 
 # -- differential expression -------------------------------------------------
 
+# Coefficients of cephes' erfc (P / Q for 1 <= x < 8, R / S beyond) and erf
+# (T / U), from scipy's copy of cephes' ndtr.c, leading coefficient first.
+# Cephes evaluates Q, S and U with p1evl, which leaves out their leading 1;
+# Horner's rule from a leading 1.0 gives the same x + c0 and then the same
+# steps.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _polevl(x: float, coefs: tuple) -> float:
+    """cephes' polevl: Horner's rule from the leading coefficient."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """cephes' erf for |x| <= 1, the only arguments ``_ndtr`` passes."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """cephes' erfc for x >= 0, the only arguments ``_ndtr`` passes."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    z = math.exp(z)  # the C library's exp, as in cephes; np.exp's own rounds differently
+    if x < 8.0:
+        p, q = _polevl(x, _ERFC_P), _polevl(x, _ERFC_Q)
+    else:
+        p, q = _polevl(x, _ERFC_R), _polevl(x, _ERFC_S)
+    return (z * p) / q
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF, as cephes' ndtr (``scipy.special.ndtr``) computes
+    it."""
+    if math.isnan(a):
+        return math.nan  # cephes' positive NaN, whatever the input's sign
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
 
 def _rank_sum_pvalues(y_ref: np.ndarray, y_alt: np.ndarray) -> np.ndarray:
     """Per-gene two-sided rank-sum p-values, as ``scipy.stats.mannwhitneyu(
@@ -303,7 +403,7 @@ def _rank_sum_pvalues(y_ref: np.ndarray, y_alt: np.ndarray) -> np.ndarray:
     numerator -= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 gives z = -inf
         z = numerator / s
-    p = ndtr(-z)
+    p = np.array([_ndtr(v) for v in (-z).tolist()])
     p *= 2
     return np.clip(p, 0.0, 1.0)
 

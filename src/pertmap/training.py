@@ -101,8 +101,10 @@ def wsd_lr(step: int, cfg: TrainConfig) -> float:
     """Warmup-stable-decay schedule.
 
     Linear ramp to the peak over the first WARMUP_FRAC of the steps, flat
-    until the final DECAY_FRAC, then a square-root decay to zero.
+    until the final DECAY_FRAC, then a square-root decay to zero.  Step 0,
+    the ramp's start, is 0; steps run to ``cfg.total_steps``.
     """
+    require_integer("step", step, 0, cfg.total_steps)
     total = cfg.total_steps
     warmup = max(1, round(WARMUP_FRAC * total))
     decay_start = total - round(DECAY_FRAC * total)

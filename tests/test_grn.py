@@ -57,6 +57,8 @@ def test_sampled_configs_stay_in_prior_ranges():
 _OUT_OF_RANGE = [
     pytest.param(GrnConfig, {"genes": 5, "k_groups": 0}, id="k_groups"),
     pytest.param(GrnConfig, {"genes": 5, "p_sparsity": -0.5}, id="p_sparsity"),
+    pytest.param(GrnConfig, {"genes": 5, "p_sparsity": 1e20}, id="p_sparsity_above_poisson_range"),
+    pytest.param(GrnConfig, {"genes": 5, "p_sparsity": np.float64(1e308)}, id="p_sparsity_budget_overflows"),
     pytest.param(SergioConfig, {"burn_in_steps": 0}, id="burn_in_steps"),
     pytest.param(GrnConfig, {"genes": 5, "delta_in": 0.0}, id="delta_in_zero"),
     pytest.param(GrnConfig, {"genes": 5, "delta_in": -50.0}, id="delta_in_negative"),
@@ -85,6 +87,20 @@ _OUT_OF_RANGE += [
 def test_configs_reject_out_of_range_values(cls, kwargs):
     with pytest.raises(InvalidArgumentError):
         cls(**kwargs)
+
+
+def test_grn_config_accepts_every_edge_budget_numpy_can_draw():
+    # The largest p_sparsity whose budget mean p_sparsity * genes NumPy's
+    # Poisson still draws: accepted and drawn; the next float is rejected.
+    p = grnmod._POISSON_LAM_MAX / 5
+    while p * 5 > grnmod._POISSON_LAM_MAX:
+        p = np.nextafter(p, 0.0)
+    raw = grnmod.sample_grn(GrnConfig(genes=5, p_sparsity=p), np.random.default_rng(0))
+    assert 0 < raw.targets.size <= 5 * 4  # the budget is capped at every possible edge
+    with pytest.raises(InvalidArgumentError, match="p_sparsity"):
+        GrnConfig(genes=5, p_sparsity=np.nextafter(p, np.inf))
+    with pytest.raises(ValueError, match="lam value too large"):
+        np.random.default_rng(0).poisson(np.nextafter(p, np.inf) * 5)
 
 
 def test_production_rates_cover_both_intervals():

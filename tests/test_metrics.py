@@ -505,6 +505,86 @@ def test_deg_stats_leaves_scipy_stats_unimported():
     assert loaded == "False"
 
 
+def test_cost_port_equals_scipy_cdist_bit_for_bit():
+    # Every cost matrix is built by a port of cdist(a, b, "sqeuclidean");
+    # they must agree in every bit at any scale, tied values included.
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(2401)
+    for case in range(1500):
+        n, m, genes = rng.integers(1, 40, size=3)
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        a = rng.standard_normal((n, genes)) * scale
+        b = rng.standard_normal((m, genes)) * scale
+        if case % 3 == 0:  # coordinates on a coarse grid tie
+            a, b = np.round(a / scale, 1) * scale, np.round(b / scale, 1) * scale
+        if case % 5 == 0:  # shared cells give zero distances
+            rows = min(n, m) // 2
+            b[:rows] = a[:rows]
+        assert np.array_equal(metrics._sq_dists(a, b), cdist(a, b, "sqeuclidean")), (a, b)
+    # Squares that overflow are inf in both, and warn in neither.
+    a = np.array([[1e200, 0.0], [0.0, 1.0]])
+    b = np.array([[-1e200, 0.0], [1.0, 2.0]])
+    with np.errstate(all="raise"):
+        ours = metrics._sq_dists(a, b)
+    assert np.isinf(ours).sum() == 3
+    assert np.array_equal(ours, cdist(a, b, "sqeuclidean"))
+
+
+def test_ndtr_port_equals_scipy_bit_for_bit():
+    # The rank-sum p-values go through a port of cephes' ndtr; it must
+    # agree with scipy.special.ndtr in every bit, NaN and signed zeros
+    # included, on both sides of each branch of ndtr, erf and erfc: |a| = 1
+    # (erf or erfc), sqrt(2) (erfc's two forms), 8 sqrt(2) (erfc's two
+    # tables) and about 37.7 (erfc underflows to 0), and in the far tails.
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(2402)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 0.5**0.5, -(0.5**0.5), 5e-324, -5e-324]
+    edges = np.array([1.0, 2.0**0.5, 8.0 * 2.0**0.5, (2.0 * metrics._MAXLOG) ** 0.5])
+    edges = np.concatenate([edges, -edges])
+    near = [np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), edges]
+    near += [edge + rng.uniform(-1e-6, 1e-6, 500) for edge in edges]
+    grid = np.concatenate(
+        [specials, *near, np.linspace(-40.0, 40.0, 40_001), rng.standard_normal(20_000) * 5.0]
+        + [np.ldexp(rng.uniform(-1.0, 1.0, 5000), rng.integers(-1074, 10, 5000))]
+    )
+    ours = np.array([metrics._ndtr(a) for a in grid.tolist()])
+    expected = ndtr(grid)
+    assert np.array_equal(ours, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(ours), np.signbit(expected))
+    assert np.isnan(ours).sum() == 2 and ((ours == 0.0) & (grid > -40.0)).any()
+
+
+def test_metrics_leave_scipy_unimported():
+    # metrics builds its cost matrices and its normal CDF without scipy,
+    # whose spatial and special modules cost about 30 MB and 0.5 s to import.
+    # This file imports scipy, so the check runs in a fresh interpreter.
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import numpy as np\n"
+        "import pertmap\n"
+        "for module in pkgutil.iter_modules(pertmap.__path__):\n"
+        "    importlib.import_module('pertmap.' + module.name)\n"
+        "from pertmap import metrics as m\n"
+        "rng = np.random.default_rng(0)\n"
+        "y, y_int, y_hat = (rng.standard_normal((20, 3)) + s for s in (0.0, 2.0, 1.0))\n"
+        "m.sinkhorn_divergence(y, y_hat)\n"
+        "m.mmd_rbf(y, y_hat)\n"
+        "m.rmse_means(y, y_hat)\n"
+        "m.transposed_rank(y[:4], y_hat[:4])\n"
+        "m.magnitude_ratio(y, y_int, y_hat)\n"
+        "m.variance_correlation(y_int, y_hat)\n"
+        "labels, _ = m.deg_labels(y, y_int)\n"
+        "m.auprc_curve(m.deg_scores(y, y_hat), labels)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(metrics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_deg_labels_threshold_rule():
     # Directly exercise the joint threshold on synthetic stats.
     assert (3.0 > metrics.DEG_TAU_P) and (0.5 > metrics.DEG_TAU_L)

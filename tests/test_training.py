@@ -73,6 +73,12 @@ def test_wsd_lr_continuous_at_boundaries():
     assert tr.wsd_lr(decay_start, cfg) == pytest.approx(cfg.peak_lr)
 
 
+@pytest.mark.parametrize("step", [11, -3, 2.5, True], ids=["past_the_end", "negative", "float", "bool"])
+def test_wsd_lr_rejects_steps_outside_the_schedule(step):
+    with pytest.raises(InvalidArgumentError, match="step"):
+        tr.wsd_lr(step, tr.TrainConfig(total_steps=10))
+
+
 def test_cfm_loss_zero_for_exact_stub():
     # Zero readout weights make the prediction equal out.b for every token;
     # with M = 1 the bias can match the target velocity exactly.
