@@ -17,6 +17,7 @@ log-normalized.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,22 +91,25 @@ def _stream_seeds(base_seed: int, context_id: int, treatment: Optional[int], pai
 # -- linear SCM datasets -----------------------------------------------------
 
 
-def _scm_context(args) -> tuple[int, np.ndarray, dict[int, np.ndarray], dict[int, np.ndarray]]:
-    context_id, d, n, edge_prob, paired, base_seed = args
+def _scm_structure(context_id, d, n, edge_prob, paired, base_seed):
+    """One context's graph and intervention values: its condition jobs, keyed
+    by treatment (None for the observational batch), and treatment codes."""
     rng = np.random.default_rng(mix_seed(base_seed, context_id, 0, ROLE_STRUCTURE))
     w = scmmod.sample_dag(d, edge_prob, rng)
-    obs_seed, _ = _stream_seeds(base_seed, context_id, None, paired)
-    obs = _standardize_columns(scmmod.sample_observational(w, n, obs_seed))
-
-    batches: dict[int, np.ndarray] = {}
+    jobs = {None: (w, None, n, _stream_seeds(base_seed, context_id, None, paired)[0])}
     codes: dict[int, np.ndarray] = {}
     for target in range(d):
         value_rng = np.random.default_rng(mix_seed(base_seed, context_id, target, ROLE_TREATMENT))
         iv = scmmod.Intervention(target, scmmod.sample_intervention_value(value_rng))
-        seed, _ = _stream_seeds(base_seed, context_id, target, paired)
-        batches[target] = _standardize_columns(scmmod.sample_interventional(w, iv, n, seed))
+        jobs[target] = (w, iv, n, _stream_seeds(base_seed, context_id, target, paired)[0])
         codes[target] = scmmod.encode_treatment(iv, d)
-    return context_id, obs, batches, codes
+    return jobs, codes
+
+
+def _scm_condition(job) -> np.ndarray:
+    w, iv, n, seed = job
+    values = scmmod.sample_observational(w, n, seed) if iv is None else scmmod.sample_interventional(w, iv, n, seed)
+    return _standardize_columns(values)
 
 
 def generate_scm_dataset(
@@ -123,34 +127,39 @@ def generate_scm_dataset(
     if n_samples < 2:
         raise InvalidArgumentError(f"unit-variance batches need at least two samples, got {n_samples}")
     ds = PerturbationDataset(kind=SCM_KIND, d=d, n=n_samples, paired=paired, base_seed=base_seed)
-    return _assemble(ds, _scm_context, n_contexts, (d, n_samples, edge_prob, paired, base_seed), workers)
+    args = (d, n_samples, edge_prob, paired, base_seed)
+    return _assemble(ds, _scm_structure, _scm_condition, n_contexts, args, workers)
 
 
 # -- expression (regulatory network) datasets --------------------------------
 
 
-def _grn_context(args):
-    context_id, genes, n_cells, paired, base_seed = args
+def _grn_structure(context_id, genes, n_cells, paired, base_seed):
+    """One context's configs, network and knockouts: its condition jobs,
+    keyed by treatment (None for the observational batch), and treatment codes."""
     rng = np.random.default_rng(mix_seed(base_seed, context_id, 0, ROLE_STRUCTURE))
     grn_cfg = grnmod.sample_grn_config(genes, rng)
     sergio_cfg = grnmod.sample_sergio_config(rng)
     network = grnmod.sample_simulation_ready_grn(grn_cfg, rng)
 
-    def condition(network_variant, treatment: Optional[int]) -> np.ndarray:
-        sim_seed, tech_seed = _stream_seeds(base_seed, context_id, treatment, paired)
-        clean = grnmod.simulate_expression(network_variant, sergio_cfg, n_cells, sim_seed)
-        counts = grnmod.apply_technical_noise(clean, sergio_cfg, tech_seed)
-        return median_count_log_normalize(counts)
+    def job(network_variant, treatment: Optional[int]):
+        return (network_variant, sergio_cfg, n_cells, *_stream_seeds(base_seed, context_id, treatment, paired))
 
-    obs = condition(network, None)
-    batches: dict[int, np.ndarray] = {}
+    jobs = {None: job(network, None)}
     codes: dict[int, np.ndarray] = {}
     for gene in range(genes):
-        batches[gene] = condition(grnmod.knockout(network, gene), gene + 1)
+        jobs[gene] = job(grnmod.knockout(network, gene), gene + 1)
         code = np.zeros(genes)
         code[gene] = 1.0  # knockouts carry no efficiency scalar
         codes[gene] = code
-    return context_id, obs, batches, codes
+    return jobs, codes
+
+
+def _grn_condition(job) -> np.ndarray:
+    network, sergio_cfg, n_cells, sim_seed, tech_seed = job
+    clean = grnmod.simulate_expression(network, sergio_cfg, n_cells, sim_seed)
+    counts = grnmod.apply_technical_noise(clean, sergio_cfg, tech_seed)
+    return median_count_log_normalize(counts)
 
 
 def generate_grn_dataset(
@@ -159,30 +168,63 @@ def generate_grn_dataset(
     n_cells: int,
     paired: bool = False,
     base_seed: int = 0,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> PerturbationDataset:
     """Simulate expression contexts with one knockout per gene, each batch
-    median-count log-normalized."""
+    median-count log-normalized.
+
+    The conditions are simulated in ``workers`` processes; the default,
+    None, starts one per usable core, and ``workers=1`` simulates them in
+    this process.  The data do not depend on the worker count.  Workers
+    start by the default start method, so a script run under spawn or
+    forkserver (the defaults on macOS and, from Python 3.14, on Linux)
+    must call this under an ``if __name__ == "__main__":`` guard, or pass
+    ``workers=1``.
+    """
+    # The counts are checked before a worker starts: n_contexts and workers
+    # by _assemble, genes by the GrnConfig of the structure pass, which runs
+    # in this process.
+    require_integer("n_cells", n_cells, 1)
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     ds = PerturbationDataset(kind=GRN_KIND, d=genes, n=n_cells, paired=paired, base_seed=base_seed)
-    return _assemble(ds, _grn_context, n_contexts, (genes, n_cells, paired, base_seed), workers)
+    return _assemble(ds, _grn_structure, _grn_condition, n_contexts, (genes, n_cells, paired, base_seed), workers)
 
 
-def _assemble(ds: PerturbationDataset, context_fn, n_contexts: int, args: tuple, workers: int) -> PerturbationDataset:
-    """Run ``context_fn((c, *args))`` for each context c, serially or in worker
-    processes, and file each context's batches and treatment codes into ``ds``."""
+def _assemble(
+    ds: PerturbationDataset, structure_fn, condition_fn, n_contexts: int, args: tuple, workers: int
+) -> PerturbationDataset:
+    """Build every condition of ``ds`` in two passes and file it in context order.
+
+    The structure pass runs ``structure_fn(c, *args)`` in this process for
+    each context c; it returns the context's condition jobs, keyed by
+    treatment (None for the observational batch), and its treatment codes.
+    ``condition_fn(job)`` then turns each job into its batch, in this
+    process when ``workers`` is 1 and otherwise over ``min(workers, jobs)``
+    worker processes, so one context's conditions may run in several.  A
+    job is a pure function of its arguments, so the worker count cannot
+    change the data.  No worker outlives the call; an error raised in one
+    is raised here.
+    """
     require_integer("n_contexts", n_contexts, 1)
     require_integer("workers", workers, 1)
-    jobs = [(c, *args) for c in range(n_contexts)]
+    keys, jobs = [], []
+    for c in range(n_contexts):
+        context_jobs, codes = structure_fn(c, *args)
+        for t, job in context_jobs.items():
+            keys.append((c, t))
+            jobs.append(job)
+        ds.treatment_codes.update(((c, t), code) for t, code in codes.items())
     if workers == 1:
-        results = [context_fn(job) for job in jobs]
+        batches = [condition_fn(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(context_fn, jobs))
-    for context_id, obs, batches, codes in results:
-        ds.observational[context_id] = obs
-        for t, batch in batches.items():
-            ds.interventional[(context_id, t)] = batch
-            ds.treatment_codes[(context_id, t)] = codes[t]
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            batches = list(pool.map(condition_fn, jobs))
+    for (c, t), batch in zip(keys, batches):
+        if t is None:
+            ds.observational[c] = batch
+        else:
+            ds.interventional[(c, t)] = batch
     return ds
 
 

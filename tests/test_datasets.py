@@ -5,14 +5,20 @@ bad arguments."""
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from helpers import edit_archive
-from pertmap import datasets, scm
-from pertmap.errors import InvalidArgumentError
+from pertmap import datasets, grn, scm
+from pertmap.errors import InvalidArgumentError, NumericalFailureError
 from pertmap.seeding import ROLE_STRUCTURE, mix_seed
 
 
@@ -34,10 +40,80 @@ def test_scm_dataset_is_worker_count_invariant():
 
 
 def test_grn_dataset_is_worker_count_invariant():
+    # None is one worker per usable core; one context over three workers
+    # splits its conditions across processes; three contexts over two
+    # workers do not split evenly by context.
     for paired in (False, True):
-        serial = datasets.generate_grn_dataset(2, 4, 20, paired=paired, base_seed=5, workers=1)
-        parallel = datasets.generate_grn_dataset(2, 4, 20, paired=paired, base_seed=5, workers=2)
-        _assert_identical(serial, parallel)
+        serial = {n: datasets.generate_grn_dataset(n, 4, 20, paired=paired, base_seed=5, workers=1) for n in (1, 2, 3)}
+        for n_contexts, workers in ((2, 2), (2, None), (1, 3), (3, 2)):
+            parallel = datasets.generate_grn_dataset(n_contexts, 4, 20, paired=paired, base_seed=5, workers=workers)
+            _assert_identical(serial[n_contexts], parallel)
+    assert multiprocessing.active_children() == []
+
+
+_SPAWN_SCRIPT = """
+import multiprocessing
+import pickle
+import sys
+
+from pertmap import datasets
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    ds = datasets.generate_grn_dataset(2, 4, 12, base_seed=5, workers=2)
+    with open(sys.argv[1], "wb") as f:
+        pickle.dump(ds, f)
+"""
+
+
+def test_grn_dataset_is_the_same_under_spawn(tmp_path):
+    # The only test of a start method other than fork: spawned workers
+    # import the package afresh and receive every job pickled.
+    script, out = tmp_path / "spawn_grn.py", tmp_path / "ds.pkl"
+    script.write_text(_SPAWN_SCRIPT)
+    src = str(Path(datasets.__file__).parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, str(script), str(out)], env=env, check=True, timeout=300)
+    with open(out, "rb") as f:
+        spawned = pickle.load(f)
+    _assert_identical(datasets.generate_grn_dataset(2, 4, 12, base_seed=5, workers=1), spawned)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(genes=1),
+        dict(n_cells=0),
+        dict(n_cells=2.5),
+        dict(n_contexts=0),
+        dict(workers=0),
+        dict(workers=2.5),
+    ],
+    ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_grn_dataset_checks_arguments_before_starting_workers(monkeypatch, kwargs):
+    # n_cells was checked only by simulate_expression and genes only by the
+    # context job's GrnConfig, so under a pool both were raised in a worker.
+    def no_pool(*_, **__):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(datasets, "ProcessPoolExecutor", no_pool)
+    (name,) = kwargs
+    with pytest.raises(InvalidArgumentError, match=name):
+        datasets.generate_grn_dataset(**(dict(n_contexts=1, genes=4, n_cells=5, workers=2) | kwargs))
+
+
+def test_grn_dataset_raises_a_worker_failure_and_stops_its_workers(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("a patch of the parent reaches only forked workers")
+
+    def diverge(*_, **__):
+        raise NumericalFailureError("non-finite expression state at step 7")
+
+    monkeypatch.setattr(grn, "simulate_expression", diverge)
+    with pytest.raises(NumericalFailureError, match="at step 7"):
+        datasets.generate_grn_dataset(2, 4, 5, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_scm_dataset_needs_two_samples():
