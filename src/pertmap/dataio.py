@@ -50,10 +50,14 @@ _MALFORMED = (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile)
 
 def write_archive(path: Path, header: dict[str, Any], arrays: dict[str, np.ndarray]) -> None:
     """Write ``header`` (plus the format number) and float32 copies of ``arrays``."""
+    try:
+        text = json.dumps({**header, "format": _FORMAT}, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{path}: header is not JSON-encodable: {exc}") from exc
     members = {name: np.asarray(a, dtype=_FLOAT32) for name, a in arrays.items()}
     # np.savez appends ".npz" to a path without that suffix, but not to a file.
     with open(path, "wb") as fh:
-        np.savez(fh, header=np.array(json.dumps({**header, "format": _FORMAT}, sort_keys=True)), **members)
+        np.savez(fh, header=np.array(text), **members)
 
 
 def read_archive(path: Path, header_types: dict[str, type]) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
@@ -94,8 +98,10 @@ def read_archive(path: Path, header_types: dict[str, type]) -> tuple[dict[str, A
 
 
 def save_checkpoint(path: Path, params: ParameterSet, model_cfg: ModelConfig, extra: dict | None = None) -> None:
-    header = {"model_config": asdict(model_cfg), "extra": extra or {}}
-    write_archive(path, header, {"params": params.values})
+    """Raises InvalidArgumentError unless ``extra`` is None or a dict that JSON can encode."""
+    if not isinstance(extra, (dict, type(None))):
+        raise InvalidArgumentError(f"extra must be a dict, got {type(extra).__name__}")
+    write_archive(path, {"model_config": asdict(model_cfg), "extra": extra or {}}, {"params": params.values})
 
 
 def load_checkpoint(path: Path) -> tuple[np.ndarray, ModelConfig, dict]:

@@ -3,8 +3,8 @@
 A dataset is a collection of contexts (one causal model each) with an
 observational batch and one interventional batch per treatment.  Every
 batch's seed derives from (base_seed, context, treatment, role), so any
-subset of conditions can be produced independently: generation with any
-worker count is bit-identical to serial generation.
+subset of conditions can be produced independently: generation of the GRN
+prior with any worker count is bit-identical to serial generation.
 
 This module owns the decisions the prior modules leave open: the seed of
 every random stream, the pairing rule and each prior's normalization.  A
@@ -119,16 +119,15 @@ def generate_scm_dataset(
     edge_prob: float = 0.5,
     paired: bool = False,
     base_seed: int = 0,
-    workers: int = 1,
 ) -> PerturbationDataset:
     """Sample linear-model contexts with one intervention per node, each
-    batch rescaled to unit column variance."""
+    batch rescaled to unit column variance, serially: it takes milliseconds."""
     require_integer("n_samples", n_samples)
     if n_samples < 2:
         raise InvalidArgumentError(f"unit-variance batches need at least two samples, got {n_samples}")
     ds = PerturbationDataset(kind=SCM_KIND, d=d, n=n_samples, paired=paired, base_seed=base_seed)
     args = (d, n_samples, edge_prob, paired, base_seed)
-    return _assemble(ds, _scm_structure, _scm_condition, n_contexts, args, workers)
+    return _assemble(ds, _scm_structure, _scm_condition, n_contexts, args, 1)
 
 
 # -- expression (regulatory network) datasets --------------------------------
@@ -181,9 +180,9 @@ def generate_grn_dataset(
     must call this under an ``if __name__ == "__main__":`` guard, or pass
     ``workers=1``.
     """
-    # The counts are checked before a worker starts: n_contexts and workers
-    # by _assemble, genes by the GrnConfig of the structure pass, which runs
-    # in this process.
+    # The arguments are checked before a worker starts: n_contexts, workers
+    # and paired by _assemble, genes by the GrnConfig of the structure pass,
+    # which runs in this process.
     require_integer("n_cells", n_cells, 1)
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -208,6 +207,9 @@ def _assemble(
     """
     require_integer("n_contexts", n_contexts, 1)
     require_integer("workers", workers, 1)
+    # The header stores the flag as a JSON boolean, which load_dataset requires.
+    if type(ds.paired) is not bool:
+        raise InvalidArgumentError(f"paired must be True or False, got {ds.paired!r}")
     keys, jobs = [], []
     for c in range(n_contexts):
         context_jobs, codes = structure_fn(c, *args)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Validation problems (bad arguments, malformed inputs) map to CLI exit code 2,
-numerical problems (divergence, non-convergence) to exit code 3.
+Validation problems (bad arguments, malformed inputs) are to map to exit code 2
+of the planned command-line interface, numerical problems (divergence, non-convergence) to 3.
 
 A scalar argument (a count, rate or seed) is checked by one call to
 :func:`require_integer` or :func:`require_real`, which decide what is valid

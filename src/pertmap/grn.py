@@ -93,9 +93,10 @@ class Grn:
     ``strengths[e]`` (positive activates); these (E,) arrays are in
     sampling order, the order in which a gene's incoming terms sum.  The
     (genes,) arrays hold the ``basal`` production rate (0 where a gene is
-    regulated), the ``decay`` rate lambda, the module in
-    ``group_assignment`` and the ``half_response``: the gene's noise-free
-    mean, floored at 1e-6, and the Hill threshold of its outgoing edges.
+    regulated), the ``decay`` rate lambda and the ``half_response``: the
+    gene's noise-free mean, floored at 1e-6, and the Hill threshold of its
+    outgoing edges.  The modules that :func:`sample_grn` draws shape only
+    which edges it draws, so the network does not keep them.
     """
 
     genes: int
@@ -105,7 +106,6 @@ class Grn:
     basal: np.ndarray
     decay: np.ndarray
     half_response: np.ndarray
-    group_assignment: np.ndarray
 
     def in_degree(self) -> np.ndarray:
         return np.bincount(self.targets, minlength=self.genes)
@@ -163,7 +163,8 @@ def _sample_production_rate(rng: np.random.Generator) -> float:
 def sample_grn(cfg: GrnConfig, rng: np.random.Generator) -> Grn:
     """Draw a directed signed network by sequential preferential attachment.
 
-    The edge budget is Poisson(p_sparsity * genes).  Each edge picks its
+    Each gene first draws its group uniformly from the k_groups, then the
+    edge budget is Poisson(p_sparsity * genes).  Each edge picks its
     target with probability proportional to in_degree + delta_in, then its
     regulator proportional to (out_degree + delta_out) * m, where m is
     w_modularity for a same-group pair and 1 otherwise.  Duplicate edges are
@@ -209,7 +210,6 @@ def sample_grn(cfg: GrnConfig, rng: np.random.Generator) -> Grn:
         basal=np.zeros(g),
         decay=rng.uniform(0.5, 1.0, size=g),
         half_response=np.zeros(g),
-        group_assignment=groups,
     )
 
 
@@ -367,19 +367,11 @@ def _simulate_block(grn, cfg, cells, seed, base, signed, threshold):
     return x
 
 
-def apply_technical_noise(
-    clean: np.ndarray,
-    cfg: SergioConfig,
-    seed: int,
-    *,
-    outlier: bool = True,
-    library: bool = True,
-    dropout: bool = True,
-) -> np.ndarray:
+def apply_technical_noise(clean: np.ndarray, cfg: SergioConfig, seed: int) -> np.ndarray:
     """Convert clean expression to UMI counts via the measurement chain.
 
-    In order: (1) outlier genes pick up a LogNormal(mu_outlier, 1) factor,
-    (2) each cell is rescaled so its total follows LogNormal(mu_lib,
+    In order, on one generator: (1) outlier genes pick up a LogNormal(mu_outlier, 1)
+    factor, (2) each cell is rescaled so its total follows LogNormal(mu_lib,
     sigma_lib), (3) entries drop out with probability from a logistic in
     log1p-expression whose midpoint sits at its 8th percentile and whose
     slope is xi, (4) Poisson sampling yields integer counts.  Raises
@@ -389,23 +381,25 @@ def apply_technical_noise(
     if not np.all((clean >= 0) & (clean < np.inf)):
         raise InvalidArgumentError("clean expression must be finite and non-negative")
     rng = np.random.default_rng(mix_seed(seed))
-    x = clean.copy()
-
-    if outlier:
-        mask = rng.random(x.shape[1]) < _OUTLIER_GENE_PROB
-        factors = rng.lognormal(mean=cfg.mu_outlier, sigma=1.0, size=x.shape[1])
-        x = x * np.where(mask, factors, 1.0)[None, :]
-
-    if library:
-        totals = x.sum(axis=1)
-        lib = rng.lognormal(mean=cfg.mu_lib, sigma=cfg.sigma_lib, size=x.shape[0])
-        scale = np.where(totals > 0, lib / np.maximum(totals, 1e-12), 1.0)
-        x = x * scale[:, None]
-
-    if dropout:
-        log_x = np.log1p(x)
-        midpoint = np.percentile(log_x, _DROPOUT_PERCENTILE)
-        keep_prob = 1.0 / (1.0 + np.exp(-cfg.xi_dropout * (log_x - midpoint)))
-        x = x * (rng.random(x.shape) < keep_prob)
-
+    x = _dropped_out(_library_scaled(_outlier_scaled(clean, cfg, rng), cfg, rng), cfg, rng)
     return rng.poisson(x).astype(np.int64)
+
+
+def _outlier_scaled(x: np.ndarray, cfg: SergioConfig, rng: np.random.Generator) -> np.ndarray:
+    mask = rng.random(x.shape[1]) < _OUTLIER_GENE_PROB
+    factors = rng.lognormal(mean=cfg.mu_outlier, sigma=1.0, size=x.shape[1])
+    return x * np.where(mask, factors, 1.0)[None, :]
+
+
+def _library_scaled(x: np.ndarray, cfg: SergioConfig, rng: np.random.Generator) -> np.ndarray:
+    totals = x.sum(axis=1)
+    lib = rng.lognormal(mean=cfg.mu_lib, sigma=cfg.sigma_lib, size=x.shape[0])
+    scale = np.where(totals > 0, lib / np.maximum(totals, 1e-12), 1.0)
+    return x * scale[:, None]
+
+
+def _dropped_out(x: np.ndarray, cfg: SergioConfig, rng: np.random.Generator) -> np.ndarray:
+    log_x = np.log1p(x)
+    midpoint = np.percentile(log_x, _DROPOUT_PERCENTILE)
+    keep_prob = 1.0 / (1.0 + np.exp(-cfg.xi_dropout * (log_x - midpoint)))
+    return x * (rng.random(x.shape) < keep_prob)

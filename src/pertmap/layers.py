@@ -38,17 +38,17 @@ _GELU_A = 0.044715
 
 
 def linear(x: Tensor | np.ndarray, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x @ w + b with w of shape (in_width, out_width), as one tape node; x is
-    a Tensor or an input array, which takes w's dtype.  On a stack of token
-    matrices, w and b get one gradient per bundle."""
+    """x @ w + b with w of shape (in_width, out_width), as one tape node; x, a
+    Tensor or an input array (which takes w's dtype), is a token matrix or a
+    stack of them, on which w and b get one gradient per bundle."""
     xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=w.dtype)
+    if xd.ndim < 2:
+        raise InvalidArgumentError(f"linear needs a token matrix or a stack of them, got shape {xd.shape}")
     data = xd @ w.data
+    vjps = [(w, lambda g: np.swapaxes(xd, -1, -2) @ g)]
     if b is not None:
         data += b.data
-    xm = xd[None] if xd.ndim == 1 else xd  # a lone vector is one token
-    vjps = [(w, lambda g: np.swapaxes(xm, -1, -2) @ (g[None] if g.ndim == 1 else g))]
-    if b is not None:
-        vjps.append((b, lambda g: g if g.ndim == 1 else g.sum(axis=-2)))
+        vjps.append((b, lambda g: g.sum(axis=-2)))
     if isinstance(x, Tensor):
         vjps.append((x, lambda g: g @ w.data.T))
     return ad._make(data, vjps)
@@ -96,9 +96,9 @@ def layer_norm(x: Tensor) -> Tensor:
 def film_modulate(x: Tensor, time_embedding: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Feature-wise linear modulation (1 + gamma) * x + beta.
 
-    gamma and beta come from a learned projection of the time embedding;
-    zero-initialized projections make this the identity map.  The projection
-    is one ``linear`` node and the modulation one more.
+    gamma and beta come from a learned projection of the time embedding, one row
+    per bundle broadcast over x's tokens; zero-initialized projections make this
+    the identity map.  The projection is one ``linear`` node, the modulation one more.
     """
     width = x.shape[-1]
     if w.shape[-1] != 2 * width:

@@ -86,7 +86,8 @@ class GuidanceConfig:
 
 @dataclass
 class TrainResult:
-    params: ParameterSet
+    """``train``'s weight EMA, which inference and checkpoints use, and trace."""
+
     ema_params: ParameterSet
     trace: list[tuple[int, float, float]]  # (step, batch loss, lr)
 
@@ -272,7 +273,7 @@ def train(
         ema_update(ema, params.values, train_cfg.ema_decay)
         trace.append((step, batch_loss, lr))
 
-    return TrainResult(params=params, ema_params=ParameterSet(parameter_layout(model_cfg), ema), trace=trace)
+    return TrainResult(ema_params=ParameterSet(parameter_layout(model_cfg), ema), trace=trace)
 
 
 def guided_field(

@@ -134,8 +134,6 @@ def ref_layer_norm(x: Tensor) -> Tensor:
 
 def ref_film_modulate(x: Tensor, time_embedding: Tensor, w: Tensor, b: Tensor) -> Tensor:
     width = x.shape[-1]
-    if time_embedding.ndim == 1:
-        time_embedding = reshape(time_embedding, (1, time_embedding.shape[0]))
     gb = ref_linear(time_embedding, w, b)
     return x * (gb[..., :width] + 1.0) + gb[..., width:]
 
@@ -198,7 +196,7 @@ def per_bundle_train(model_cfg, train_cfg, bundle_stream) -> tr.TrainResult:
         optimizer.step(lr)
         tr.ema_update(ema, params.values, train_cfg.ema_decay)
         trace.append((step, batch_loss, lr))
-    return tr.TrainResult(params, ad.ParameterSet(mdl.parameter_layout(model_cfg), ema), trace)
+    return tr.TrainResult(ad.ParameterSet(mdl.parameter_layout(model_cfg), ema), trace)
 
 
 # -- precision-recall reference ----------------------------------------------

@@ -57,6 +57,22 @@ def _toy_checkpoint(path, cfg=None):
     return params, cfg
 
 
+@pytest.mark.parametrize(
+    "extra", ["x", [1, 2], 0, {"a": object()}, {(1, 2): 3}], ids=["str", "list", "zero", "object", "tuple_key"]
+)
+def test_save_checkpoint_rejects_an_extra_that_load_checkpoint_would_not_read(tmp_path, extra):
+    # "x" and [1, 2] were written and then rejected on load, 0 was written
+    # as {}, and an unencodable value raised json's raw TypeError.
+    with pytest.raises(InvalidArgumentError, match="extra|JSON"):
+        dataio.save_checkpoint(tmp_path / "model.ckpt", build_model(MICRO_CFG, seed=0), MICRO_CFG, extra=extra)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_checkpoint_writes_no_extra_as_an_empty_object(tmp_path):
+    dataio.save_checkpoint(tmp_path / "model.ckpt", build_model(MICRO_CFG, seed=0), MICRO_CFG)
+    assert dataio.load_checkpoint(tmp_path / "model.ckpt")[2] == {}
+
+
 def test_checkpoint_round_trip_through_restore_params_is_exact(tmp_path):
     params, cfg = _toy_checkpoint(tmp_path / "model.ckpt")
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

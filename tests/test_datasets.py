@@ -1,4 +1,4 @@
-"""Dataset generation contracts: the worker count never changes the data,
+"""Dataset generation contracts: the worker count never changes GRN data,
 loading rejects a malformed dataset archive, and the bundle sampler rejects
 bad arguments."""
 
@@ -30,13 +30,6 @@ def _assert_identical(a: datasets.PerturbationDataset, b: datasets.PerturbationD
     for key in a.interventional:
         assert np.array_equal(a.interventional[key], b.interventional[key])
         assert np.array_equal(a.treatment_codes[key], b.treatment_codes[key])
-
-
-def test_scm_dataset_is_worker_count_invariant():
-    for paired in (False, True):
-        serial = datasets.generate_scm_dataset(5, 6, 32, paired=paired, base_seed=3, workers=1)
-        parallel = datasets.generate_scm_dataset(5, 6, 32, paired=paired, base_seed=3, workers=2)
-        _assert_identical(serial, parallel)
 
 
 def test_grn_dataset_is_worker_count_invariant():
@@ -88,12 +81,17 @@ def test_grn_dataset_is_the_same_under_spawn(tmp_path):
         dict(n_contexts=0),
         dict(workers=0),
         dict(workers=2.5),
+        dict(paired=1),
+        dict(paired="yes"),
+        dict(paired=None),
     ],
     ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
 )
 def test_grn_dataset_checks_arguments_before_starting_workers(monkeypatch, kwargs):
     # n_cells was checked only by simulate_expression and genes only by the
     # context job's GrnConfig, so under a pool both were raised in a worker.
+    # A paired flag that is not a bool was generated and saved, and then
+    # load_dataset rejected the file.
     def no_pool(*_, **__):
         raise AssertionError("a worker pool was started")
 
@@ -334,15 +332,16 @@ def test_bundle_sampler_rejects_bad_sizes(kwargs):
         dict(d=3.0),
         dict(edge_prob=True),
         dict(base_seed=2.7),
-        dict(workers=2.5),
-        dict(workers=0),
+        dict(paired=1),
+        dict(paired="yes"),
+        dict(paired=None),
     ],
     ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
 )
 def test_scm_dataset_rejects_a_malformed_count_or_seed(kwargs):
-    # Unchecked, base_seed=2.7 generated base seed 2's data under a header
-    # that load_dataset rejects, edge_prob=True drew complete graphs, workers=0
-    # ran serially, and the other values raised a raw TypeError or AxisError.
+    # Unchecked, base_seed=2.7 and a paired flag that is not a bool generated
+    # data under a header that load_dataset rejects, edge_prob=True drew
+    # complete graphs, and the other values raised a raw TypeError or AxisError.
     (name,) = kwargs
     match = {"base_seed": "seed", "edge_prob": "edge probability"}.get(name, name)
     with pytest.raises(InvalidArgumentError, match=match):

@@ -47,7 +47,7 @@ def _op_arrays(op: str, width: int, rng: np.random.Generator) -> list[np.ndarray
         return [rng.standard_normal((width, width)) * 0.6, rng.standard_normal(width) * 0.3]
     if op == "film_modulate":
         return [
-            rng.standard_normal(TIME_WIDTH),
+            rng.standard_normal((1, TIME_WIDTH)),
             rng.standard_normal((TIME_WIDTH, 2 * width)) * 0.4,
             rng.standard_normal(2 * width) * 0.3,
         ]

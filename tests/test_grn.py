@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import tracemalloc
 
 import networkx as nx
@@ -12,6 +13,7 @@ from helpers import wrong_type_cases
 from pertmap import grn as grnmod
 from pertmap.errors import InvalidArgumentError
 from pertmap.grn import Grn, GrnConfig, SergioConfig
+from pertmap.seeding import mix_seed
 
 
 def _manual_grn(genes, edges, basal, decay=None):
@@ -27,7 +29,6 @@ def _manual_grn(genes, edges, basal, decay=None):
         basal=basal_rates,
         decay=np.full(genes, 0.5) if decay is None else np.asarray(decay, dtype=float),
         half_response=np.zeros(genes),
-        group_assignment=np.zeros(genes, dtype=int),
     )
     return grnmod.assign_half_responses(g)
 
@@ -123,9 +124,11 @@ def test_sample_grn_modularity_dominates_at_high_weight():
     cfg = GrnConfig(genes=40, k_groups=2, p_sparsity=2.0, delta_in=50, delta_out=5, w_modularity=900)
     within = total = 0
     for _ in range(20):
+        # The genes' groups are sample_grn's first draw.
+        groups = copy.deepcopy(rng).integers(0, cfg.k_groups, size=cfg.genes)
         g = grnmod.sample_grn(cfg, rng)
         total += g.targets.size
-        within += np.sum(g.group_assignment[g.regulators] == g.group_assignment[g.targets])
+        within += np.sum(groups[g.regulators] == groups[g.targets])
     assert within / total > 0.9
 
 
@@ -408,20 +411,6 @@ def test_technical_noise_zero_stays_zero():
     assert np.all(counts == 0)
 
 
-def test_technical_noise_poisson_moments_without_dropout_or_library():
-    cfg = SergioConfig()
-    rng = np.random.default_rng(6)
-    clean = rng.uniform(1.0, 8.0, size=(10_000, 4))
-    counts = grnmod.apply_technical_noise(
-        clean, cfg, seed=11, outlier=False, library=False, dropout=False
-    )
-    # Per-gene sample mean within 5 sigma of the clean mean.
-    for g in range(4):
-        mu = clean[:, g].mean()
-        tol = 5.0 * np.sqrt(mu / 10_000)
-        assert abs(counts[:, g].mean() - mu) < tol
-
-
 def test_technical_noise_library_scaling_preserves_proportions():
     # Cell totals follow LogNormal(mu_lib, sigma_lib) and gene shares stay
     # those of the clean matrix, up to Poisson noise (worst over 20 seeds:
@@ -429,12 +418,42 @@ def test_technical_noise_library_scaling_preserves_proportions():
     cfg = SergioConfig()
     rng = np.random.default_rng(8)
     clean = rng.uniform(0.5, 4.0, size=(2000, 6))
-    counts = grnmod.apply_technical_noise(clean, cfg, seed=3, outlier=False, dropout=False)
+    noise = np.random.default_rng(mix_seed(3))  # apply_technical_noise's generator at seed 3
+    counts = noise.poisson(grnmod._library_scaled(clean, cfg, noise))
     log_totals = np.log(counts.sum(axis=1))
     assert abs(log_totals.mean() - cfg.mu_lib) < 0.06
     assert abs(log_totals.std() - cfg.sigma_lib) < 0.06
     shares = counts.sum(axis=0) / counts.sum()
     assert np.allclose(shares, clean.sum(axis=0) / clean.sum(), atol=0.01)
+
+
+def test_technical_noise_outlier_genes_are_about_one_percent_with_log_mean_mu_outlier():
+    # Over 1e5 genes, the share scaled and the log-mean of their factors
+    # (worst over 30 seeds: 0.0006 off 1%, 0.07 off mu_outlier); every cell
+    # of a gene gets its factor.
+    cfg = SergioConfig()
+    scaled = grnmod._outlier_scaled(np.ones((2, 100_000)), cfg, np.random.default_rng(mix_seed(5)))
+    assert np.array_equal(scaled[0], scaled[1])
+    factors = scaled[0][scaled[0] != 1.0]
+    assert abs(factors.size / 100_000 - 0.01) < 0.0015
+    assert abs(np.log(factors).mean() - cfg.mu_outlier) < 0.15
+
+
+def test_technical_noise_dropout_keeps_half_at_the_eighth_percentile():
+    # log1p-expression is 1 in 5% of the entries, 2 in 10% and 3 in 85%, so
+    # the logistic's midpoint is 2 and its slope of 60 keeps an entry one
+    # unit above with probability 1 - 1e-26 and one unit below with 1e-26.
+    # About half the entries at the midpoint are kept (worst over 30 seeds:
+    # 0.030 off one half).
+    cfg = SergioConfig()
+    log_x = np.repeat([1.0, 2.0, 3.0], [1000, 2000, 17000]).reshape(200, 100)
+    x = np.expm1(log_x)
+    kept = grnmod._dropped_out(x, cfg, np.random.default_rng(mix_seed(5)))
+    assert np.all(kept[log_x == 1.0] == 0.0)
+    assert np.array_equal(kept[log_x == 3.0], x[log_x == 3.0])
+    at_midpoint = kept[log_x == 2.0]
+    assert np.all((at_midpoint == 0.0) | (at_midpoint == x[log_x == 2.0]))
+    assert abs(np.mean(at_midpoint != 0.0) - 0.5) < 0.06
 
 
 def test_technical_noise_rejects_negative_input():

@@ -70,10 +70,20 @@ def test_gelu_silu_gradcheck():
     check_grads(lambda ts: layers.silu(ts[0]).sum(), [x])
 
 
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_linear_rejects_an_input_that_is_not_a_token_matrix(shape):
+    # A lone vector ran forward and then failed in backward with numpy's AxisError.
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    with pytest.raises(InvalidArgumentError, match="token matrix"):
+        layers.linear(Tensor(np.ones(shape), requires_grad=True), w)
+    with pytest.raises(InvalidArgumentError, match="token matrix"):
+        layers.linear(np.ones(shape), w)
+
+
 def test_film_zero_init_is_identity():
     width, twidth = 6, 4
     x = Tensor(RNG.standard_normal((3, width)))
-    temb = Tensor(RNG.standard_normal(twidth))
+    temb = Tensor(RNG.standard_normal((1, twidth)))
     w = Tensor(np.zeros((twidth, 2 * width)))
     b = Tensor(np.zeros(2 * width))
     out = layers.film_modulate(x, temb, w, b)
@@ -83,7 +93,7 @@ def test_film_zero_init_is_identity():
 def test_film_gamma_minus_one_zeroes_output():
     width = 3
     x = Tensor(RNG.standard_normal((2, width)))
-    temb = Tensor(np.ones(1))
+    temb = Tensor(np.ones((1, 1)))
     w = Tensor(np.zeros((1, 2 * width)))
     b = Tensor(np.concatenate([-np.ones(width), np.zeros(width)]))
     out = layers.film_modulate(x, temb, w, b)
@@ -93,19 +103,19 @@ def test_film_gamma_minus_one_zeroes_output():
 def test_film_gradient_wrt_input_is_one_plus_gamma():
     width = 4
     x = Tensor(RNG.standard_normal((1, width)), requires_grad=True)
-    temb = Tensor(np.ones(2))
+    temb = Tensor(np.ones((1, 2)))
     w = Tensor(RNG.standard_normal((2, 2 * width)) * 0.1)
     b = Tensor(np.zeros(2 * width))
     out = layers.film_modulate(x, temb, w, b)
-    gamma = (temb.data @ w.data)[:width]
+    gamma = (temb.data @ w.data)[:, :width]
     out.sum().backward()
-    assert np.allclose(x.grad, (1.0 + gamma)[None, :])
+    assert np.allclose(x.grad, 1.0 + gamma)
 
 
 def test_film_gradcheck_through_projection():
     width, twidth = 3, 2
     x = RNG.standard_normal((4, width))
-    temb = RNG.standard_normal(twidth)
+    temb = RNG.standard_normal((1, twidth))
     w = RNG.standard_normal((twidth, 2 * width)) * 0.3
     b = RNG.standard_normal(2 * width) * 0.1
     check_grads(
