@@ -6,15 +6,16 @@ holding a JSON object with ``"format": 2``; every other member is a
 little-endian float32 array.
 
 - A dataset is ``<dir>/dataset.npz``.  Its header is ``{format, kind, d, n,
-  paired, base_seed, contexts, conditions}``: ``contexts`` lists the C
-  context ids and ``conditions`` the K ``[context, treatment]`` pairs, in
-  the order of the members ``obs`` (C, n, d), the observational batch of
-  each context, ``int`` (K, n, d), the interventional batch of each
-  condition, and ``codes`` (K, d), its treatment code.
+  base_seed, contexts, conditions}``: ``contexts`` lists the C context ids
+  and ``conditions`` the K ``[context, treatment]`` pairs, in the order of
+  the members ``obs`` (C, n, d), the observational batch of each context,
+  ``int`` (K, n, d), the interventional batch of each condition, and
+  ``codes`` (K, d), its treatment code.
 - A checkpoint is one archive at any path.  Its header is ``{format,
   model_config, extra}``, ``model_config`` the fields of a ModelConfig and
-  ``extra`` a JSON object.  Its one other member, ``params``, is the
-  model's flat parameter buffer (``ParameterSet.values``): a 1-D array of
+  ``extra`` a JSON object that reads back equal to the dict it was saved
+  from.  Its one other member, ``params``, is the model's flat parameter
+  buffer (``ParameterSet.values``): a 1-D array of
   ``num_values(model_config)`` values, the tensors of ``parameter_layout``
   one after another, each in row-major order.
 
@@ -98,10 +99,18 @@ def read_archive(path: Path, header_types: dict[str, type]) -> tuple[dict[str, A
 
 
 def save_checkpoint(path: Path, params: ParameterSet, model_cfg: ModelConfig, extra: dict | None = None) -> None:
-    """Raises InvalidArgumentError unless ``extra`` is None or a dict that JSON can encode."""
-    if not isinstance(extra, (dict, type(None))):
-        raise InvalidArgumentError(f"extra must be a dict, got {type(extra).__name__}")
-    write_archive(path, {"model_config": asdict(model_cfg), "extra": extra or {}}, {"params": params.values})
+    """Raises InvalidArgumentError unless ``extra`` is None (saved as {}) or
+    a dict that JSON carries unchanged, ``json.loads(json.dumps(extra)) ==
+    extra`` (no tuples, no keys that are not strings, no NaN), so that
+    ``load_checkpoint`` returns it as given."""
+    extra = {} if extra is None else extra
+    try:
+        unchanged = isinstance(extra, dict) and json.loads(json.dumps(extra)) == extra
+    except (TypeError, ValueError):  # not encodable, or circular
+        unchanged = False
+    if not unchanged:
+        raise InvalidArgumentError(f"extra must be a dict that JSON carries unchanged, got {extra!r}")
+    write_archive(path, {"model_config": asdict(model_cfg), "extra": extra}, {"params": params.values})
 
 
 def load_checkpoint(path: Path) -> tuple[np.ndarray, ModelConfig, dict]:

@@ -7,10 +7,7 @@ subset of conditions can be produced independently: generation of the GRN
 prior with any worker count is bit-identical to serial generation.
 
 This module owns the decisions the prior modules leave open: the seed of
-every random stream, the pairing rule and each prior's normalization.  A
-counterfactually paired batch reuses its context's observational streams
-(the sampling noise, and for expression data the technical noise too), so
-every treatment of a context starts from the same draws.  Linear-SCM batches
+every random stream and each prior's normalization.  Linear-SCM batches
 are rescaled to unit column variance; expression counts are median-count
 log-normalized.
 """
@@ -40,7 +37,7 @@ from .seeding import (
 SCM_KIND = "scm"
 GRN_KIND = "grn"
 DATASET_FILE = "dataset.npz"
-_HEADER_TYPES = dict(kind=str, d=int, n=int, paired=bool, base_seed=int, contexts=list, conditions=list)
+_HEADER_TYPES = dict(kind=str, d=int, n=int, base_seed=int, contexts=list, conditions=list)
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,6 @@ class PerturbationDataset:
     kind: str
     d: int
     n: int
-    paired: bool
     base_seed: int
     observational: dict[int, np.ndarray] = field(default_factory=dict)
     interventional: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
@@ -74,34 +70,30 @@ class PerturbationDataset:
         return sorted(t for c, t in self.interventional if c == context_id)
 
 
-# -- stream seeds and pairing ---------------------------------------------------
+# -- stream seeds -----------------------------------------------------------
 
 
-def _stream_seeds(base_seed: int, context_id: int, treatment: Optional[int], paired: bool) -> tuple[int, int]:
-    """Seeds of one batch's sampling-noise and technical-noise streams.
-
-    ``treatment`` is None for the context's observational batch.  A paired
-    batch reuses its context's observational streams, which makes it the
-    counterfactual of the observational batch under its treatment.
-    """
-    t, role = (0, ROLE_OBS_NOISE) if treatment is None or paired else (treatment, ROLE_INT_NOISE)
+def _stream_seeds(base_seed: int, context_id: int, treatment: Optional[int]) -> tuple[int, int]:
+    """Seeds of one batch's sampling-noise and technical-noise streams;
+    ``treatment`` is None for the context's observational batch."""
+    t, role = (0, ROLE_OBS_NOISE) if treatment is None else (treatment, ROLE_INT_NOISE)
     return mix_seed(base_seed, context_id, t, role), mix_seed(base_seed, context_id, t, ROLE_TECH_NOISE)
 
 
 # -- linear SCM datasets -----------------------------------------------------
 
 
-def _scm_structure(context_id, d, n, edge_prob, paired, base_seed):
+def _scm_structure(context_id, d, n, edge_prob, base_seed):
     """One context's graph and intervention values: its condition jobs, keyed
     by treatment (None for the observational batch), and treatment codes."""
     rng = np.random.default_rng(mix_seed(base_seed, context_id, 0, ROLE_STRUCTURE))
     w = scmmod.sample_dag(d, edge_prob, rng)
-    jobs = {None: (w, None, n, _stream_seeds(base_seed, context_id, None, paired)[0])}
+    jobs = {None: (w, None, n, _stream_seeds(base_seed, context_id, None)[0])}
     codes: dict[int, np.ndarray] = {}
     for target in range(d):
         value_rng = np.random.default_rng(mix_seed(base_seed, context_id, target, ROLE_TREATMENT))
         iv = scmmod.Intervention(target, scmmod.sample_intervention_value(value_rng))
-        jobs[target] = (w, iv, n, _stream_seeds(base_seed, context_id, target, paired)[0])
+        jobs[target] = (w, iv, n, _stream_seeds(base_seed, context_id, target)[0])
         codes[target] = scmmod.encode_treatment(iv, d)
     return jobs, codes
 
@@ -117,7 +109,6 @@ def generate_scm_dataset(
     d: int,
     n_samples: int,
     edge_prob: float = 0.5,
-    paired: bool = False,
     base_seed: int = 0,
 ) -> PerturbationDataset:
     """Sample linear-model contexts with one intervention per node, each
@@ -125,15 +116,14 @@ def generate_scm_dataset(
     require_integer("n_samples", n_samples)
     if n_samples < 2:
         raise InvalidArgumentError(f"unit-variance batches need at least two samples, got {n_samples}")
-    ds = PerturbationDataset(kind=SCM_KIND, d=d, n=n_samples, paired=paired, base_seed=base_seed)
-    args = (d, n_samples, edge_prob, paired, base_seed)
-    return _assemble(ds, _scm_structure, _scm_condition, n_contexts, args, 1)
+    ds = PerturbationDataset(kind=SCM_KIND, d=d, n=n_samples, base_seed=base_seed)
+    return _assemble(ds, _scm_structure, _scm_condition, n_contexts, (d, n_samples, edge_prob, base_seed), 1)
 
 
 # -- expression (regulatory network) datasets --------------------------------
 
 
-def _grn_structure(context_id, genes, n_cells, paired, base_seed):
+def _grn_structure(context_id, genes, n_cells, base_seed):
     """One context's configs, network and knockouts: its condition jobs,
     keyed by treatment (None for the observational batch), and treatment codes."""
     rng = np.random.default_rng(mix_seed(base_seed, context_id, 0, ROLE_STRUCTURE))
@@ -142,7 +132,7 @@ def _grn_structure(context_id, genes, n_cells, paired, base_seed):
     network = grnmod.sample_simulation_ready_grn(grn_cfg, rng)
 
     def job(network_variant, treatment: Optional[int]):
-        return (network_variant, sergio_cfg, n_cells, *_stream_seeds(base_seed, context_id, treatment, paired))
+        return (network_variant, sergio_cfg, n_cells, *_stream_seeds(base_seed, context_id, treatment))
 
     jobs = {None: job(network, None)}
     codes: dict[int, np.ndarray] = {}
@@ -165,7 +155,6 @@ def generate_grn_dataset(
     n_contexts: int,
     genes: int,
     n_cells: int,
-    paired: bool = False,
     base_seed: int = 0,
     workers: Optional[int] = None,
 ) -> PerturbationDataset:
@@ -180,14 +169,14 @@ def generate_grn_dataset(
     must call this under an ``if __name__ == "__main__":`` guard, or pass
     ``workers=1``.
     """
-    # The arguments are checked before a worker starts: n_contexts, workers
-    # and paired by _assemble, genes by the GrnConfig of the structure pass,
+    # The arguments are checked before a worker starts: n_contexts and
+    # workers by _assemble, genes by the GrnConfig of the structure pass,
     # which runs in this process.
     require_integer("n_cells", n_cells, 1)
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    ds = PerturbationDataset(kind=GRN_KIND, d=genes, n=n_cells, paired=paired, base_seed=base_seed)
-    return _assemble(ds, _grn_structure, _grn_condition, n_contexts, (genes, n_cells, paired, base_seed), workers)
+    ds = PerturbationDataset(kind=GRN_KIND, d=genes, n=n_cells, base_seed=base_seed)
+    return _assemble(ds, _grn_structure, _grn_condition, n_contexts, (genes, n_cells, base_seed), workers)
 
 
 def _assemble(
@@ -207,9 +196,6 @@ def _assemble(
     """
     require_integer("n_contexts", n_contexts, 1)
     require_integer("workers", workers, 1)
-    # The header stores the flag as a JSON boolean, which load_dataset requires.
-    if type(ds.paired) is not bool:
-        raise InvalidArgumentError(f"paired must be True or False, got {ds.paired!r}")
     keys, jobs = [], []
     for c in range(n_contexts):
         context_jobs, codes = structure_fn(c, *args)
@@ -217,6 +203,9 @@ def _assemble(
             keys.append((c, t))
             jobs.append(job)
         ds.treatment_codes.update(((c, t), code) for t, code in codes.items())
+    # The generator has checked n and the structure pass d and base_seed; the
+    # header stores them as JSON integers, which NumPy integers are not.
+    ds.d, ds.n, ds.base_seed = int(ds.d), int(ds.n), int(ds.base_seed)
     if workers == 1:
         batches = [condition_fn(job) for job in jobs]
     else:
@@ -253,9 +242,12 @@ def median_count_log_normalize(counts: np.ndarray) -> np.ndarray:
     """Scale each cell's counts to the median total, then log2(1 + x).
 
     Cells with zero total are left unscaled (their row stays zero).  Raises
-    InvalidArgumentError on a negative or non-finite count.
+    InvalidArgumentError unless ``counts`` is a non-empty (cells, genes)
+    matrix of finite, non-negative counts.
     """
     counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2 or counts.size == 0:
+        raise InvalidArgumentError(f"counts must be a non-empty (cells, genes) matrix, not {counts.shape}")
     if not np.all((counts >= 0) & (counts < np.inf)):
         raise InvalidArgumentError("counts must be finite and non-negative")
     totals = counts.sum(axis=1)
@@ -273,7 +265,7 @@ def save_dataset(ds: PerturbationDataset, outdir: Path) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     contexts, keys = ds.contexts(), sorted(ds.interventional)
-    header = dict(kind=ds.kind, d=ds.d, n=ds.n, paired=ds.paired, base_seed=ds.base_seed, contexts=contexts)
+    header = dict(kind=ds.kind, d=ds.d, n=ds.n, base_seed=ds.base_seed, contexts=contexts)
     arrays = {
         "obs": _stacked([ds.observational[c] for c in contexts], (ds.n, ds.d)),
         "int": _stacked([ds.interventional[key] for key in keys], (ds.n, ds.d)),
@@ -297,11 +289,13 @@ def load_dataset(path: Path) -> PerturbationDataset:
     passes the zip checks, member CRCs included, with a 0-d unicode JSON
     header of format 2 and only float32 members); when the header lacks a
     key, or its kind is not a string, d, n or base_seed not an integer,
-    paired not a boolean, contexts not a list of distinct integers, or
+    contexts not a list of distinct integers, or
     conditions not a list of distinct [context, treatment] integer pairs of
     listed contexts; or when the members are not exactly obs, int and codes
     with the shapes (C, n, d), (K, n, d) and (K, d) that the header implies.
-    A missing file raises FileNotFoundError.
+    Other header keys are ignored, so an archive that still carries the
+    ``paired`` flag of earlier versions loads.  A missing file raises
+    FileNotFoundError.
     """
     path = Path(path) / DATASET_FILE
     header, arrays = dataio.read_archive(path, _HEADER_TYPES)
@@ -316,7 +310,7 @@ def load_dataset(path: Path) -> PerturbationDataset:
     found = {name: a.shape for name, a in arrays.items()}
     if found != shapes:
         raise InvalidArgumentError(f"{path}: members {found}, but its header implies {shapes}")
-    ds = PerturbationDataset(kind=header["kind"], d=d, n=n, paired=header["paired"], base_seed=header["base_seed"])
+    ds = PerturbationDataset(kind=header["kind"], d=d, n=n, base_seed=header["base_seed"])
     ds.observational = dict(zip(contexts, arrays["obs"].astype(np.float64)))
     ds.interventional = dict(zip(keys, arrays["int"].astype(np.float64)))
     ds.treatment_codes = dict(zip(keys, arrays["codes"].astype(np.float64)))

@@ -375,9 +375,12 @@ def apply_technical_noise(clean: np.ndarray, cfg: SergioConfig, seed: int) -> np
     sigma_lib), (3) entries drop out with probability from a logistic in
     log1p-expression whose midpoint sits at its 8th percentile and whose
     slope is xi, (4) Poisson sampling yields integer counts.  Raises
-    InvalidArgumentError on a negative or non-finite entry.
+    InvalidArgumentError unless ``clean`` is a non-empty (cells, genes)
+    matrix of finite, non-negative entries.
     """
     clean = np.asarray(clean, dtype=float)
+    if clean.ndim != 2 or clean.size == 0:
+        raise InvalidArgumentError(f"clean expression must be a non-empty (cells, genes) matrix, not {clean.shape}")
     if not np.all((clean >= 0) & (clean < np.inf)):
         raise InvalidArgumentError("clean expression must be finite and non-negative")
     rng = np.random.default_rng(mix_seed(seed))

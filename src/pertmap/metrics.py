@@ -7,33 +7,32 @@ scale), multi-scale RBF maximum mean discrepancy, RMSE of the per-gene
 means, the transposed rank across conditions, the magnitude ratio of
 predicted to true effect sizes, and the Pearson correlation of per-gene
 variances.  Every metric checks its samples through one gate: non-empty,
-over the same genes, finite.  The Sinkhorn solver's schedule is a list of
-(epsilon, iterations) stages.  It runs in the stabilized scaling domain:
-each iteration is two matrix-vector products on a kernel with the dual
-potentials folded in, and the scalings are absorbed back into the
-potentials at the end of each stage, or sooner when one would leave a
-fixed safe range.  The differential-expression pipeline
+over the same genes, finite.  The Sinkhorn solver's settings are the module
+constants ``SINKHORN_EPSILON``, ``SINKHORN_MAX_ITERS`` and ``SINKHORN_TOL``,
+and its schedule is a list of (epsilon, iterations) stages.  It runs in the
+stabilized scaling domain: each iteration is two matrix-vector products on
+a kernel with the dual potentials folded in, and the scalings are absorbed
+back into the potentials at the end of each stage, or sooner when one would
+leave a fixed safe range.  The differential-expression pipeline
 combines per-gene Wilcoxon rank-sum tests and Benjamini-Hochberg correction,
 fold-change thresholds, and precision-recall sweeps.  The rank-sum test and
 the correction are numpy ports of ``scipy.stats.mannwhitneyu`` (asymptotic,
 two-sided) and ``scipy.stats.false_discovery_control`` that repeat scipy's
-arithmetic step for step, so their values equal scipy's bit for bit
-(``tests/test_metrics.py::test_deg_port_equals_scipy_bit_for_bit``); they
-keep ``scipy.stats``, which costs about 20 MB and 0.7 s to import, out of
-every process.
+arithmetic step for step, except for the normal tail: the p-value is the
+standard library's ``math.erfc(z / sqrt(2))``, within a few ulps of scipy's
+``2 * ndtr(-z)`` (1e-14 relative).  With scipy's tail patched in, the
+values equal scipy's bit for bit
+(``tests/test_metrics.py::test_deg_port_equals_scipy_bit_for_bit``).  The
+ports keep ``scipy.stats``, which costs about 20 MB and 0.7 s to import,
+out of every process.
 
-Two more ports keep the rest of scipy out.  Every squared-Euclidean cost
-matrix is built as ``scipy.spatial.distance.cdist(..., "sqeuclidean")``
-builds it, adding the squared differences gene by gene in gene order
+Every squared-Euclidean cost matrix is built as
+``scipy.spatial.distance.cdist(..., "sqeuclidean")`` builds it, adding the
+squared differences gene by gene in gene order
 (``test_cost_port_equals_scipy_cdist_bit_for_bit``); numpy rounds each
-multiply and add on its own on every platform.  The rank-sum test's normal
-CDF is a port of cephes' ``ndtr``, ``erf`` and ``erfc`` with their
-coefficient tables and Horner order, calling ``math.exp`` (the C library's
-exp, which cephes calls too; numpy's own exp rounds differently) per element
-(``test_ndtr_port_equals_scipy_bit_for_bit``).  Together they spare every
-process ``scipy.spatial`` and ``scipy.special``, about 30 MB and 0.3 s of
-imports; ``test_metrics_leave_scipy_unimported`` checks that no scipy
-module loads.
+multiply and add on its own on every platform.  That keeps
+``scipy.spatial`` out too; ``test_metrics_leave_scipy_unimported`` checks
+that no scipy module loads.
 """
 
 from __future__ import annotations
@@ -49,12 +48,11 @@ from .errors import (
     NumericalFailureError,
     UndefinedCorrelationError,
     UndefinedMetricError,
-    require_integer,
-    require_real,
 )
 
 _LOG_FC_PSEUDOCOUNT = 1e-6
 _P_FLOOR = 1e-300
+_SQRT1_2 = math.sqrt(0.5)
 # RBF kernel scales gamma of mmd_rbf, k(x, y) = exp(-gamma |x - y|^2).
 MMD_GAMMAS = (10.0, 1.0, 0.1, 0.01, 0.001)
 # A gene is differentially expressed above these -log10 adjusted p and
@@ -63,18 +61,13 @@ DEG_TAU_P = 2.0
 DEG_TAU_L = 0.2
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    sinkhorn_epsilon: float = 0.1
-    sinkhorn_max_iters: int = 20_000
-    # Sup-norm bound on the relative marginal violation.  Overlapping clouds
-    # at small epsilon stall near 1e-5, so the default stays above that.
-    sinkhorn_tol: float = 1e-4
-
-    def __post_init__(self):
-        require_real("sinkhorn_epsilon", self.sinkhorn_epsilon, 0.0, strict=True)
-        require_integer("sinkhorn_max_iters", self.sinkhorn_max_iters, 1)
-        require_real("sinkhorn_tol", self.sinkhorn_tol, 0.0, strict=True)
+# Sinkhorn divergence settings: the target regularization, the iteration
+# budget of all epsilon stages together, and the sup-norm bound on the
+# relative marginal violation.  Overlapping clouds at small epsilon stall
+# near 1e-5, so the tolerance stays above that.
+SINKHORN_EPSILON = 0.1
+SINKHORN_MAX_ITERS = 20_000
+SINKHORN_TOL = 1e-4
 
 
 # -- entropic optimal transport -------------------------------------------
@@ -204,7 +197,7 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def sinkhorn_divergence(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = MetricConfig()) -> float:
+def sinkhorn_divergence(y: np.ndarray, y_hat: np.ndarray) -> float:
     """Debiased entropic transport distance, square-root scale.
 
     Computes the divergence on the squared-cost scale,
@@ -212,7 +205,7 @@ def sinkhorn_divergence(y: np.ndarray, y_hat: np.ndarray, cfg: MetricConfig = Me
     sqrt(max(., 0)) so magnitudes are comparable to a Euclidean distance.
     """
     y, y_hat = _two_samples(y, y_hat)
-    eps, iters, tol = cfg.sinkhorn_epsilon, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol
+    eps, iters, tol = SINKHORN_EPSILON, SINKHORN_MAX_ITERS, SINKHORN_TOL
     cross = _entropic_ot_value(_sq_dists(y, y_hat), eps, iters, tol)
     self_y = _entropic_ot_value(_sq_dists(y, y), eps, iters, tol)
     self_h = _entropic_ot_value(_sq_dists(y_hat, y_hat), eps, iters, tol)
@@ -267,20 +260,15 @@ def transposed_rank(predicted_means: np.ndarray, observed_means: np.ndarray) -> 
     return float((closer.sum(axis=1) / (p - 1)).mean())
 
 
-def magnitude_ratio(
-    y_obs: np.ndarray,
-    y_int: np.ndarray,
-    y_hat: np.ndarray,
-    cfg: MetricConfig = MetricConfig(),
-) -> float:
+def magnitude_ratio(y_obs: np.ndarray, y_int: np.ndarray, y_hat: np.ndarray) -> float:
     """Predicted effect size over true effect size, both measured as
     transport distances from the observational sample."""
-    denominator = sinkhorn_divergence(y_obs, y_int, cfg)
+    denominator = sinkhorn_divergence(y_obs, y_int)
     if denominator < 1e-9:
         raise DegenerateEffectError(
             "observational and interventional samples are indistinguishable"
         )
-    return sinkhorn_divergence(y_obs, y_hat, cfg) / denominator
+    return sinkhorn_divergence(y_obs, y_hat) / denominator
 
 
 def variance_correlation(y_int: np.ndarray, y_hat: np.ndarray) -> float:
@@ -299,89 +287,20 @@ def variance_correlation(y_int: np.ndarray, y_hat: np.ndarray) -> float:
 
 # -- differential expression -------------------------------------------------
 
-# Coefficients of cephes' erfc (P / Q for 1 <= x < 8, R / S beyond) and erf
-# (T / U), from scipy's copy of cephes' ndtr.c, leading coefficient first.
-# Cephes evaluates Q, S and U with p1evl, which leaves out their leading 1;
-# Horner's rule from a leading 1.0 gives the same x + c0 and then the same
-# steps.
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-_MAXLOG = 7.09782712893383996843e2  # log of the largest double
-_SQRT1_2 = math.sqrt(0.5)
-
-
-def _polevl(x: float, coefs: tuple) -> float:
-    """cephes' polevl: Horner's rule from the leading coefficient."""
-    ans = coefs[0]
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x: float) -> float:
-    """cephes' erf for |x| <= 1, the only arguments ``_ndtr`` passes."""
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-
-
-def _erfc(x: float) -> float:
-    """cephes' erfc for x >= 0, the only arguments ``_ndtr`` passes."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0
-    z = math.exp(z)  # the C library's exp, as in cephes; np.exp's own rounds differently
-    if x < 8.0:
-        p, q = _polevl(x, _ERFC_P), _polevl(x, _ERFC_Q)
-    else:
-        p, q = _polevl(x, _ERFC_R), _polevl(x, _ERFC_S)
-    return (z * p) / q
-
-
-def _ndtr(a: float) -> float:
-    """Standard normal CDF, as cephes' ndtr (``scipy.special.ndtr``) computes
-    it."""
-    if math.isnan(a):
-        return math.nan  # cephes' positive NaN, whatever the input's sign
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
+def _two_sided_p(z: np.ndarray) -> np.ndarray:
+    """2 P(Z <= -z) per element, as ``math.erfc(z / sqrt(2))``: scipy's
+    ``2 * ndtr(-z)`` within a few ulps.  z is scaled by sqrt(1/2), as cephes'
+    ndtr scales it; dividing by sqrt(2) rounds differently, up to 1.5e-14
+    relative off scipy's p instead of 3.8e-15."""
+    return np.array([math.erfc(v * _SQRT1_2) for v in z.tolist()])
 
 
 def _rank_sum_pvalues(y_ref: np.ndarray, y_alt: np.ndarray) -> np.ndarray:
     """Per-gene two-sided rank-sum p-values, as ``scipy.stats.mannwhitneyu(
-    y_ref, y_alt, axis=0, method="asymptotic")`` computes them: mid-ranks,
-    tie-corrected variance and a continuity correction.  All-tied genes get
-    p = 1.  Ranks and tie counts are half-integers and integers, so their
-    sums are exact in any order."""
+    y_ref, y_alt, axis=0, method="asymptotic")`` computes them up to the
+    normal tail (``_two_sided_p``): mid-ranks, tie-corrected variance and a
+    continuity correction.  All-tied genes get p = 1.  Ranks and tie counts
+    are half-integers and integers, so their sums are exact in any order."""
     n1, n2 = len(y_ref), len(y_alt)
     n = n1 + n2
     xy = np.concatenate((y_ref, y_alt)).T  # genes first
@@ -403,9 +322,7 @@ def _rank_sum_pvalues(y_ref: np.ndarray, y_alt: np.ndarray) -> np.ndarray:
     numerator -= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 gives z = -inf
         z = numerator / s
-    p = np.array([_ndtr(v) for v in (-z).tolist()])
-    p *= 2
-    return np.clip(p, 0.0, 1.0)
+    return np.clip(_two_sided_p(z), 0.0, 1.0)
 
 
 def _bh_adjust(p: np.ndarray) -> np.ndarray:
@@ -437,7 +354,7 @@ def deg_stats(y_ref: np.ndarray, y_alt: np.ndarray) -> DegStats:
     """
     y_ref, y_alt = _two_samples(y_ref, y_alt)
     # scipy's two-sided asymptotic Mann-Whitney U test and BH correction,
-    # ported bit for bit (test_deg_port_equals_scipy_bit_for_bit).
+    # ported (test_deg_port_equals_scipy_bit_for_bit).
     padj = _bh_adjust(_rank_sum_pvalues(y_ref, y_alt))
     neglog = -np.log10(np.maximum(padj, _P_FLOOR))
     mu_ref = np.maximum(y_ref.mean(axis=0), 0.0) + _LOG_FC_PSEUDOCOUNT

@@ -19,7 +19,6 @@ _MASK64 = (1 << 64) - 1
 
 # Stream roles, used as the final word of the mix.  A role's number is part
 # of every seed derived for it, so renumbering a role changes its data.
-# Paired data reuses the observational streams.
 ROLE_STRUCTURE = 0  # graph / SCM / GRN topology and weights
 ROLE_TREATMENT = 1  # intervention values
 ROLE_OBS_NOISE = 2  # observational sampling noise

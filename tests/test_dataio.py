@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import zipfile
 
 import numpy as np
@@ -35,9 +36,7 @@ def test_dataset_round_trip_is_float32_rounding(tmp_path):
         out = tmp_path / ds.kind
         datasets.save_dataset(ds, out)
         loaded = datasets.load_dataset(out)
-        assert (loaded.kind, loaded.d, loaded.n, loaded.paired, loaded.base_seed) == (
-            ds.kind, ds.d, ds.n, ds.paired, ds.base_seed,
-        )
+        assert (loaded.kind, loaded.d, loaded.n, loaded.base_seed) == (ds.kind, ds.d, ds.n, ds.base_seed)
         assert sorted(loaded.observational) == sorted(ds.observational)
         assert sorted(loaded.interventional) == sorted(ds.interventional)
         for c, values in ds.observational.items():
@@ -45,6 +44,26 @@ def test_dataset_round_trip_is_float32_rounding(tmp_path):
         for key, values in ds.interventional.items():
             assert np.array_equal(loaded.interventional[key], _float32_rounded(values))
             assert np.array_equal(loaded.treatment_codes[key], _float32_rounded(ds.treatment_codes[key]))
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: datasets.generate_scm_dataset(1, np.int64(3), 8),
+        lambda: datasets.generate_grn_dataset(1, 3, np.int64(8), workers=1),
+        lambda: datasets.generate_scm_dataset(1, 3, 8, base_seed=np.uint32(4)),
+    ],
+    ids=["d", "n", "base_seed"],
+)
+def test_dataset_header_holds_numpy_integers_as_int(tmp_path, generate):
+    # NumPy integer sizes and seeds pass the checks; they were kept in the
+    # header, which JSON then could not encode, so save_dataset failed.
+    ds = generate()
+    datasets.save_dataset(ds, tmp_path)
+    loaded = datasets.load_dataset(tmp_path)
+    for meta in (ds, loaded):
+        assert [type(v) for v in (meta.d, meta.n, meta.base_seed)] == [int, int, int]
+    assert (loaded.d, loaded.n, loaded.base_seed) == (ds.d, ds.n, ds.base_seed)
 
 
 def _toy_checkpoint(path, cfg=None):
@@ -58,11 +77,15 @@ def _toy_checkpoint(path, cfg=None):
 
 
 @pytest.mark.parametrize(
-    "extra", ["x", [1, 2], 0, {"a": object()}, {(1, 2): 3}], ids=["str", "list", "zero", "object", "tuple_key"]
+    "extra",
+    ["x", [1, 2], 0, {"a": object()}, {(1, 2): 3}, {1: (2, 3)}, {"a": (1, 2)}, {"a": math.nan}],
+    ids=["str", "list", "zero", "object", "tuple_key", "int_key", "tuple", "nan"],
 )
 def test_save_checkpoint_rejects_an_extra_that_load_checkpoint_would_not_read(tmp_path, extra):
     # "x" and [1, 2] were written and then rejected on load, 0 was written
-    # as {}, and an unencodable value raised json's raw TypeError.
+    # as {}, and an unencodable value raised json's raw TypeError.  JSON
+    # changes the others: {1: (2, 3)} loaded as {"1": [2, 3]}, and NaN was
+    # written as a non-standard NaN token and loaded unequal to itself.
     with pytest.raises(InvalidArgumentError, match="extra|JSON"):
         dataio.save_checkpoint(tmp_path / "model.ckpt", build_model(MICRO_CFG, seed=0), MICRO_CFG, extra=extra)
     assert list(tmp_path.iterdir()) == []
@@ -301,7 +324,7 @@ def _save(kind: str, directory):
 def _contents(loaded):
     """A loaded dataset or checkpoint as comparable plain values."""
     if isinstance(loaded, datasets.PerturbationDataset):
-        meta = (loaded.kind, loaded.d, loaded.n, loaded.paired, loaded.base_seed)
+        meta = (loaded.kind, loaded.d, loaded.n, loaded.base_seed)
         arrays = {("obs", c): a for c, a in loaded.observational.items()}
         arrays.update({("int", *key): a for key, a in loaded.interventional.items()})
         arrays.update({("code", *key): a for key, a in loaded.treatment_codes.items()})

@@ -12,14 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from helpers import edit_archive
-from pertmap import datasets, grn, scm
+from pertmap import datasets, grn
 from pertmap.errors import InvalidArgumentError, NumericalFailureError
-from pertmap.seeding import ROLE_STRUCTURE, mix_seed
 
 
 def _assert_identical(a: datasets.PerturbationDataset, b: datasets.PerturbationDataset) -> None:
@@ -36,11 +34,10 @@ def test_grn_dataset_is_worker_count_invariant():
     # None is one worker per usable core; one context over three workers
     # splits its conditions across processes; three contexts over two
     # workers do not split evenly by context.
-    for paired in (False, True):
-        serial = {n: datasets.generate_grn_dataset(n, 4, 20, paired=paired, base_seed=5, workers=1) for n in (1, 2, 3)}
-        for n_contexts, workers in ((2, 2), (2, None), (1, 3), (3, 2)):
-            parallel = datasets.generate_grn_dataset(n_contexts, 4, 20, paired=paired, base_seed=5, workers=workers)
-            _assert_identical(serial[n_contexts], parallel)
+    serial = {n: datasets.generate_grn_dataset(n, 4, 20, base_seed=5, workers=1) for n in (1, 2, 3)}
+    for n_contexts, workers in ((2, 2), (2, None), (1, 3), (3, 2)):
+        parallel = datasets.generate_grn_dataset(n_contexts, 4, 20, base_seed=5, workers=workers)
+        _assert_identical(serial[n_contexts], parallel)
     assert multiprocessing.active_children() == []
 
 
@@ -81,17 +78,12 @@ def test_grn_dataset_is_the_same_under_spawn(tmp_path):
         dict(n_contexts=0),
         dict(workers=0),
         dict(workers=2.5),
-        dict(paired=1),
-        dict(paired="yes"),
-        dict(paired=None),
     ],
     ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
 )
 def test_grn_dataset_checks_arguments_before_starting_workers(monkeypatch, kwargs):
     # n_cells was checked only by simulate_expression and genes only by the
     # context job's GrnConfig, so under a pool both were raised in a worker.
-    # A paired flag that is not a bool was generated and saved, and then
-    # load_dataset rejected the file.
     def no_pool(*_, **__):
         raise AssertionError("a worker pool was started")
 
@@ -126,15 +118,21 @@ def test_median_count_log_normalize_rejects_non_finite_counts(value):
         datasets.median_count_log_normalize(np.array([[1.0, 2.0], [value, 0.0]]))
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4), (0, 3), (3, 0)], ids=["1-d", "3-d", "no_cells", "no_genes"])
+def test_median_count_log_normalize_rejects_a_batch_that_is_not_a_cells_by_genes_matrix(shape):
+    # A 1-D batch raised numpy's raw AxisError, and a 3-D one was normalized.
+    with pytest.raises(InvalidArgumentError, match="matrix"):
+        datasets.median_count_log_normalize(np.ones(shape))
+
+
 def test_grn_knockout_columns_are_exactly_zero():
     # A knocked-out gene has no production, so its column stays at the
     # zero start state through the burn-in, the noise chain and log-normalizing.
     for base_seed in (7, 8211):
-        for paired in (False, True):
-            ds = datasets.generate_grn_dataset(2, 6, 16, paired=paired, base_seed=base_seed)
-            assert len(ds.interventional) == 2 * 6
-            for (_, t), batch in ds.interventional.items():
-                assert np.all(batch[:, t] == 0.0), (base_seed, paired, t)
+        ds = datasets.generate_grn_dataset(2, 6, 16, base_seed=base_seed)
+        assert len(ds.interventional) == 2 * 6
+        for (_, t), batch in ds.interventional.items():
+            assert np.all(batch[:, t] == 0.0), (base_seed, t)
 
 
 # The manifest is the dataset archive's JSON header: it lists the contexts
@@ -160,7 +158,7 @@ def test_dataset_is_one_archive(tmp_path):
     manifest = _saved(tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == [datasets.DATASET_FILE]
     assert manifest == {
-        "format": 2, "kind": "scm", "d": 3, "n": 8, "paired": False, "base_seed": 4,
+        "format": 2, "kind": "scm", "d": 3, "n": 8, "base_seed": 4,
         "contexts": [0], "conditions": [[0, 0], [0, 1], [0, 2]],
     }
 
@@ -240,7 +238,7 @@ def test_member_missing_a_row_is_rejected(tmp_path, member):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("d", "abc"), ("d", None), ("n", 8.9), ("base_seed", [1]), ("base_seed", True), ("paired", "no"),
+        ("d", "abc"), ("d", None), ("n", 8.9), ("base_seed", [1]), ("base_seed", True), ("kind", 3),
         ("contexts", ["0"]),
     ],
 )
@@ -280,25 +278,24 @@ def test_entry_listed_twice_is_rejected(tmp_path, index):
         datasets.load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("paired", [False, True])
+def test_manifest_with_a_paired_flag_still_loads(tmp_path, paired):
+    # Archives written while the generators could pair batches carry the
+    # flag; the header key is ignored now, and the batches load unchanged.
+    manifest = _saved(tmp_path)
+    expected = datasets.load_dataset(tmp_path)
+    _rewrite(tmp_path, manifest | {"paired": paired})
+    loaded = datasets.load_dataset(tmp_path)
+    assert (loaded.kind, loaded.d, loaded.n, loaded.base_seed) == ("scm", 3, 8, 4)
+    _assert_identical(loaded, expected)
+
+
 def test_context_without_an_observational_batch_is_rejected(tmp_path):
     manifest = _saved(tmp_path)
     manifest["conditions"][0][0] = 1
     _rewrite(tmp_path, manifest)
     with pytest.raises(InvalidArgumentError):
         datasets.load_dataset(tmp_path)
-
-
-def test_paired_scm_dataset_changes_only_the_treated_gene_and_its_descendants():
-    for base_seed in range(20):
-        paired = datasets.generate_scm_dataset(3, 6, 40, paired=True, base_seed=base_seed)
-        unpaired = datasets.generate_scm_dataset(3, 6, 40, paired=False, base_seed=base_seed)
-        for (c, t), batch in paired.interventional.items():
-            w = scm.sample_dag(6, 0.5, np.random.default_rng(mix_seed(base_seed, c, 0, ROLE_STRUCTURE)))
-            graph = nx.from_numpy_array(w.T, create_using=nx.DiGraph)  # edge j -> k at [j, k]
-            rest = sorted(set(range(6)) - {t} - nx.descendants(graph, t))
-            assert np.array_equal(batch[:, rest], paired.observational[c][:, rest])
-            diff = unpaired.interventional[(c, t)][:, rest] - unpaired.observational[c][:, rest]
-            assert np.all(np.abs(diff).max(axis=0) > 0.5)
 
 
 @pytest.mark.parametrize(
@@ -332,15 +329,12 @@ def test_bundle_sampler_rejects_bad_sizes(kwargs):
         dict(d=3.0),
         dict(edge_prob=True),
         dict(base_seed=2.7),
-        dict(paired=1),
-        dict(paired="yes"),
-        dict(paired=None),
     ],
     ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
 )
 def test_scm_dataset_rejects_a_malformed_count_or_seed(kwargs):
-    # Unchecked, base_seed=2.7 and a paired flag that is not a bool generated
-    # data under a header that load_dataset rejects, edge_prob=True drew
+    # Unchecked, base_seed=2.7 generated data under a header that
+    # load_dataset rejects, edge_prob=True drew
     # complete graphs, and the other values raised a raw TypeError or AxisError.
     (name,) = kwargs
     match = {"base_seed": "seed", "edge_prob": "edge probability"}.get(name, name)

@@ -9,7 +9,6 @@ import pytest
 
 from pertmap.errors import InvalidArgumentError, require_integer, require_real
 from pertmap.grn import GrnConfig, SergioConfig
-from pertmap.metrics import MetricConfig
 from pertmap.model import ModelConfig
 from pertmap.training import GuidanceConfig, TrainConfig
 
@@ -31,7 +30,7 @@ _REQUIRED = {GrnConfig: dict(genes=5), TrainConfig: dict(total_steps=1)}
 
 
 @pytest.mark.parametrize(
-    "cls", [GrnConfig, SergioConfig, ModelConfig, TrainConfig, GuidanceConfig, MetricConfig], ids=lambda cls: cls.__name__
+    "cls", [GrnConfig, SergioConfig, ModelConfig, TrainConfig, GuidanceConfig], ids=lambda cls: cls.__name__
 )
 def test_configs_accept_numpy_scalars(cls):
     # The checks rely on NumPy scalars registering as numbers.Integral and

@@ -468,6 +468,14 @@ def test_technical_noise_rejects_non_finite_input(value):
         grnmod.apply_technical_noise(np.array([[1.0, value]]), SergioConfig(), seed=0)
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4), (0, 3), (3, 0)], ids=["1-d", "3-d", "no_cells", "no_genes"])
+def test_technical_noise_rejects_a_batch_that_is_not_a_cells_by_genes_matrix(shape):
+    # A 1-D batch and an empty one raised numpy's raw IndexError, and a
+    # 3-D one ran through the chain.
+    with pytest.raises(InvalidArgumentError, match="matrix"):
+        grnmod.apply_technical_noise(np.ones(shape), SergioConfig(), seed=0)
+
+
 def test_technical_noise_deterministic():
     rng = np.random.default_rng(10)
     clean = rng.uniform(0.0, 5.0, size=(30, 4))

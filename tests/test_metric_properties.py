@@ -3,7 +3,7 @@
 For the Sinkhorn divergence and the RBF MMD: the value is non-negative,
 symmetric in its arguments, and about zero when both inputs are the same
 set.  The Sinkhorn solver stops at a relative marginal violation below
-``sinkhorn_tol``, so each transport value is off by at most about that
+``SINKHORN_TOL``, so each transport value is off by at most about that
 fraction of the potentials' spread, which the cost range bounds; the
 symmetry check on the squared divergence allows exactly that.
 """
@@ -17,9 +17,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from pertmap import metrics
-from pertmap.metrics import MetricConfig
 
-CFG = MetricConfig()
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 _coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -39,17 +37,17 @@ def point_set_pairs(draw) -> tuple[np.ndarray, np.ndarray]:
 @given(point_set_pairs())
 def test_sinkhorn_is_nonnegative_and_symmetric(pair):
     y, y_hat = pair
-    ab = metrics.sinkhorn_divergence(y, y_hat, CFG)
-    ba = metrics.sinkhorn_divergence(y_hat, y, CFG)
+    ab = metrics.sinkhorn_divergence(y, y_hat)
+    ba = metrics.sinkhorn_divergence(y_hat, y)
     assert ab >= 0.0 and ba >= 0.0
     cost_range = float(cdist(y, y_hat, "sqeuclidean").max())
-    assert abs(ab**2 - ba**2) <= CFG.sinkhorn_tol * (cost_range + CFG.sinkhorn_epsilon)
+    assert abs(ab**2 - ba**2) <= metrics.SINKHORN_TOL * (cost_range + metrics.SINKHORN_EPSILON)
 
 
 @PROPERTY
 @given(st.integers(1, 3).flatmap(_points))
 def test_sinkhorn_of_a_set_with_itself_is_zero(y):
-    assert metrics.sinkhorn_divergence(y, y.copy(), CFG) <= 1e-6
+    assert metrics.sinkhorn_divergence(y, y.copy()) <= 1e-6
 
 
 @PROPERTY

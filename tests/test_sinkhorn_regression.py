@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from pertmap import datasets, errors, metrics
-from pertmap.metrics import MetricConfig
 
 FIXTURE = Path(__file__).parent / "data" / "sinkhorn_fixture.json"
 RTOL = 1e-12
@@ -25,7 +24,7 @@ CELLS = 32
 
 
 def sinkhorn_cases() -> dict[str, tuple[str, tuple[np.ndarray, ...], dict]]:
-    """Named (metric, inputs, MetricConfig overrides) triples.
+    """Named (metric, inputs, overrides of metrics' Sinkhorn constants) triples.
 
     Each prior contributes observational, interventional and mixture pairs
     at 32 cells, the size the benchmark compares.  The mixture is the
@@ -52,16 +51,18 @@ def sinkhorn_cases() -> dict[str, tuple[str, tuple[np.ndarray, ...], dict]]:
         cases[f"{prefix}_obs_mix"] = ("sinkhorn_divergence", (y_mix, y_obs), {})
         cases[f"{prefix}_magnitude_mix"] = ("magnitude_ratio", (y_obs, y_int, y_mix), {})
         cases[f"{prefix}_magnitude_alt"] = ("magnitude_ratio", (y_obs, y_int, y_alt), {})
-        cases[f"{prefix}_small_eps"] = ("sinkhorn_divergence", (y_int, y_mix), {"sinkhorn_epsilon": 0.05})
-        cases[f"{prefix}_budget"] = ("sinkhorn_divergence", (y_int, y_obs), {"sinkhorn_max_iters": 100})
-        cases[f"{prefix}_exact_budget"] = ("sinkhorn_divergence", (y_int, y_obs), {"sinkhorn_max_iters": iters})
-        cases[f"{prefix}_one_short"] = ("sinkhorn_divergence", (y_int, y_obs), {"sinkhorn_max_iters": iters - 1})
+        cases[f"{prefix}_small_eps"] = ("sinkhorn_divergence", (y_int, y_mix), {"SINKHORN_EPSILON": 0.05})
+        cases[f"{prefix}_budget"] = ("sinkhorn_divergence", (y_int, y_obs), {"SINKHORN_MAX_ITERS": 100})
+        cases[f"{prefix}_exact_budget"] = ("sinkhorn_divergence", (y_int, y_obs), {"SINKHORN_MAX_ITERS": iters})
+        cases[f"{prefix}_one_short"] = ("sinkhorn_divergence", (y_int, y_obs), {"SINKHORN_MAX_ITERS": iters - 1})
     return cases
 
 
-def run_case(metric: str, inputs: tuple[np.ndarray, ...], overrides: dict) -> dict:
+def run_case(monkeypatch, metric: str, inputs: tuple[np.ndarray, ...], overrides: dict) -> dict:
+    for name, value in overrides.items():
+        monkeypatch.setattr(metrics, name, value)
     try:
-        return {"value": getattr(metrics, metric)(*inputs, MetricConfig(**overrides))}
+        return {"value": getattr(metrics, metric)(*inputs)}
     except errors.PertmapError as exc:
         return {"error": type(exc).__name__}
 
@@ -79,9 +80,9 @@ def test_fixture_covers_values_and_a_failure(cases):
 
 
 @pytest.mark.parametrize("name", sorted(json.loads(FIXTURE.read_text())))
-def test_sinkhorn_outputs_match_fixture(name, cases):
+def test_sinkhorn_outputs_match_fixture(monkeypatch, name, cases):
     expected = json.loads(FIXTURE.read_text())[name]
-    got = run_case(*cases[name])
+    got = run_case(monkeypatch, *cases[name])
     if "error" in expected:
         assert got == expected
     else:
