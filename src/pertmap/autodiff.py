@@ -16,6 +16,13 @@ so a stack's gradients sum in exactly the order that one backward per
 bundle, run in that order, sums them.  A leaf must receive only stacked or
 only unstacked adjoints within one graph.
 
+A backward may defer its leaf additions: given a ``leaf_log`` list, it
+appends each ``(leaf, adjoint)`` pair in walk order instead of adding the
+adjoint, and :func:`replay` adds the logged pairs later, through the same
+additions in the same order.  No adjoint depends on what a leaf's gradient
+holds, so a graph whose log is replayed after other graphs' additions
+leaves every gradient as if its backward had run then.
+
 Every primitive builds its output through :func:`_make`, from the result
 array and one ``(operand, vjp)`` pair per operand, where ``vjp`` maps the
 output's gradient to that operand's.  A fused node whose operands'
@@ -95,9 +102,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
     # -- graph plumbing ---------------------------------------------------
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -109,13 +113,14 @@ class Tensor:
         else:
             self.grad += grad
 
-    def backward(self, seed: Optional[np.ndarray] = None) -> None:
+    def backward(self, seed: Optional[np.ndarray] = None, leaf_log: Optional[list] = None) -> None:
         """Reverse-mode sweep from this tensor.
 
         ``seed`` defaults to 1 and must match this tensor's shape; gradients
         accumulate into ``.grad`` of every reachable tensor that requires
         them (accumulation across multiple backward calls is intentional,
-        callers zero grads between steps).
+        callers zero grads between steps).  With ``leaf_log``, they are
+        appended to it for :func:`replay` instead.
         """
         if seed is None:
             seed = np.ones_like(self.data)
@@ -147,7 +152,10 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                node._accumulate(g)
+                if leaf_log is None:
+                    node._accumulate(g)
+                else:
+                    leaf_log.append((node, g))
             if node._backward is None:
                 continue
             for parent, pg in node._backward(g):
@@ -158,9 +166,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
 
     def __sub__(self, other):
         return sub(self, other)
@@ -174,9 +179,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __getitem__(self, key):
         return take(self, key)
 
@@ -185,6 +187,12 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis=axis, keepdims=keepdims)
+
+
+def replay(leaf_log: list) -> None:
+    """Add the ``(leaf, adjoint)`` pairs that deferred backwards logged, in log order."""
+    for leaf, g in leaf_log:
+        leaf._accumulate(g)
 
 
 def _wrap(data: np.ndarray) -> Tensor:
@@ -329,20 +337,25 @@ class ParameterSet:
     detaches the tensor from ``values``, which then no longer holds what
     the model computes with.  ``layout`` lists ``(name, shape, ...)``
     entries, as ``model.parameter_layout`` does.  ``values`` is wrapped,
-    not copied; ``grad`` is left untouched until backward writes it, so a
-    set used only for inference costs no gradient memory.
+    not copied, and so is ``grad`` where one is given, an array like
+    ``values``.  A set's own ``grad`` is left untouched until backward
+    writes it, so a set used only for inference costs no gradient memory.
     """
 
-    def __init__(self, layout: Iterable[tuple], values: np.ndarray) -> None:
+    def __init__(self, layout: Iterable[tuple], values: np.ndarray, grad: Optional[np.ndarray] = None) -> None:
         shapes = [(name, shape) for name, shape, *_ in layout]
         size = sum(math.prod(shape) for _, shape in shapes)
         if values.shape != (size,):
             raise InvalidArgumentError(f"values of shape {values.shape} do not hold the layout's {size} values")
+        if grad is None:
+            # Anonymous mmap pages read as zero and stay unresident until
+            # written.  np.zeros gives that only when the allocator maps the
+            # request, not when it reuses freed heap memory and must clear it.
+            grad = np.frombuffer(mmap.mmap(-1, max(values.nbytes, 1)), values.dtype, values.size)
+        elif (grad.shape, grad.dtype) != (values.shape, values.dtype):
+            raise InvalidArgumentError(f"a grad of {grad.dtype} {grad.shape} for values of {values.dtype} {values.shape}")
         self.values = values
-        # Anonymous mmap pages read as zero and stay unresident until
-        # written.  np.zeros gives that only when the allocator maps the
-        # request, not when it reuses freed heap memory and must clear it.
-        self.grad = np.frombuffer(mmap.mmap(-1, max(values.nbytes, 1)), values.dtype, values.size)
+        self.grad = grad
         self._params: dict[str, Tensor] = {}
         offset = 0
         for name, shape in shapes:

@@ -14,7 +14,6 @@ log-normalized.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +22,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import dataio, grn as grnmod, scm as scmmod
+from .cores import usable_cores
 from .errors import InvalidArgumentError, require_integer
 from .model import ExperimentBundle
 from .seeding import (
@@ -174,7 +174,7 @@ def generate_grn_dataset(
     # which runs in this process.
     require_integer("n_cells", n_cells, 1)
     if workers is None:
-        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = usable_cores()
     ds = PerturbationDataset(kind=GRN_KIND, d=genes, n=n_cells, base_seed=base_seed)
     return _assemble(ds, _grn_structure, _grn_condition, n_contexts, (genes, n_cells, base_seed), workers)
 

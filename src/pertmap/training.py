@@ -10,15 +10,31 @@ schedule updates the weights; an exponential moving average of the weights
 is what inference uses.
 
 The loss takes a stack of bundles, as ``forward`` does; a lone bundle is a
-stack of one.  A step runs each run of consecutive bundles with the same
-drop flag and shapes, at most STACK_BUNDLES long, as one forward and one
-backward.  This is bit-identical to one graph per bundle: every loss,
+stack of one.  Each run of consecutive bundles with the same drop flag and
+shapes in a process's share of a step (see below), at most STACK_BUNDLES
+long, runs as one forward and one backward.  This is bit-identical to one graph per bundle: every loss,
 gradient, trained weight and EMA weight is equal.  It holds because a
 stacked matmul and every reduction over a stack's token or last axis equal
 their per-bundle counterparts, because the stacks run in draw order, and
 because a parameter adds a stack's gradients one bundle at a time (see
 :mod:`pertmap.autodiff`), so each parameter's gradient sums its bundles in
 the same order.
+
+A step's bundles train on ``workers`` processes at once.  This process
+draws every bundle, time, noise and drop flag, cuts the step's draws into
+contiguous shares of about equal work (a dropped bundle runs only the query
+stream, so it counts DROPPED_COST of a conditioned one), trains the first
+share's stacks itself and sends each later share to a helper process.  The
+weights and their gradient live in memory that every process maps.  A helper
+trains its share's stacks with each backward's leaf additions deferred into
+a log that stays in its own memory, and replays the log into the gradient
+once every earlier stack is in it; then it sends back its bundles' losses.
+This too is bit-identical to one process.  A step's gradient is a sequence
+of leaf additions, stack after stack, each stack in tape-walk order, and no
+forward or backward work that makes an addend reads the gradient, so every
+parameter sums the same terms in the same order; the batch loss adds the
+bundles' losses in draw order; and how a share's bundles stack changes no
+value, as above.
 
 Generation integrates dY/dtau = v_u + omega * (v_c - v_u) from tau=0
 (standard normal) to tau=1 with :func:`pertmap.ode.integrate_dopri5`, a port
@@ -29,14 +45,16 @@ every process the import of ``scipy.integrate``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
+from .cores import usable_cores
 from .errors import InvalidArgumentError, NumericalFailureError, require_integer, require_real
 from .model import ExperimentBundle, ModelConfig, build_model, forward, parameter_layout
 from .ode import integrate_dopri5
@@ -51,8 +69,15 @@ ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
 # Bundles per stacked training graph at most.  This is a memory bound: each
 # conditioned bundle in a stack holds about 3 MB of saved activations at
-# toy width while the stack's graph lives.
+# toy width while the stack's graph lives, and each process holds at most
+# one stack's graph.  A helper also holds its stacks' leaf adjoints, about
+# 1.4 MB per bundle at toy width, until its replay.
 STACK_BUNDLES = 3
+# The work of a dropped bundle relative to a conditioned one, by which a
+# step's draws are cut across processes.  At toy width one stack of 1, 2 or
+# 3 bundles took 3.3, 5.2 or 7.1 ms dropped and 8.1, 15.8 or 23.6 ms
+# conditioned.
+DROPPED_COST = 0.35
 
 
 @dataclass(frozen=True)
@@ -230,10 +255,135 @@ def _stacks(draws: list) -> list[list]:
     return stacks
 
 
+def _split(draws: list, parts: int) -> list[list]:
+    """``draws`` cut into ``parts`` contiguous shares of about equal work, in
+    order.  Each cut falls where the work before it is nearest its part of
+    the step's, at the later draw on a tie, so that a lone draw stays in
+    the first share.  A pure function of the drop flags."""
+    prefix = [0.0]
+    for _, _, _, drop in draws:
+        prefix.append(prefix[-1] + (DROPPED_COST if drop else 1.0))
+    cuts = [0]
+    for part in range(1, parts):
+        target = prefix[-1] * part / parts
+        cuts.append(min(range(len(draws), -1, -1), key=lambda i: abs(prefix[i] - target)))
+    cuts.append(len(draws))
+    return [draws[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _train_stacks(
+    params: ParameterSet, model_cfg: ModelConfig, draws: list, scale: float, leaf_log: list | None = None
+) -> list[float]:
+    """One ``cfm_loss`` and one backward, seeded with ``scale``, per stack of
+    ``draws``, in order; the backwards defer their leaf additions into
+    ``leaf_log`` where one is given.  The bundles' losses, in draw order."""
+    losses: list[float] = []
+    for stack in _stacks(draws):
+        bundles, taus, y0s, drops = zip(*stack)
+        loss = cfm_loss(params, model_cfg, bundles, taus, np.stack(y0s), drops[0])
+        loss.backward(seed=scale, leaf_log=leaf_log)
+        losses += loss.data.tolist()
+        # Free this stack's graph before the next one is built: at most one
+        # stack's saved activations are alive at a time.
+        del loss
+    return losses
+
+
+def _shared_params(raw, dtype, model_cfg: ModelConfig) -> ParameterSet:
+    """The parameter set whose values and gradient are the two halves of ``raw``."""
+    values, grad = np.split(np.frombuffer(raw, dtype), 2)
+    return ParameterSet(parameter_layout(model_cfg), values, grad)
+
+
+def _help(conn, parent_end, raw, dtype, model_cfg: ModelConfig, scale: float) -> None:
+    """A helper process: train each share of draws that ``train`` sends with
+    the leaf additions deferred, replay them when ``train`` signals that
+    every earlier stack is in the gradient, and send back the share's
+    losses, or the error that stopped it.  Returns on None, or when
+    ``train``'s process has ended."""
+    parent_end.close()  # a forked copy, which would keep the pipe from reading EOF
+    params = _shared_params(raw, dtype, model_cfg)
+    try:
+        for share in iter(conn.recv, None):
+            log: list = []
+            losses = _train_stacks(params, model_cfg, share, scale, log)
+            conn.recv()  # the stacks before this share are in the gradient
+            ad.replay(log)
+            del log  # free the adjoints before waiting for the next share
+            conn.send(losses)
+    except EOFError:
+        return
+    except Exception as exc:
+        import traceback  # here, so that importing pertmap does not pay for it
+
+        conn.send((exc, traceback.format_exc()))
+
+
+class _Helper:
+    """A helper process and this process's end of its pipe."""
+
+    def __init__(self, ctx, args: tuple):
+        self.conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(target=_help, args=(child_end, self.conn, *args), daemon=True)
+        self.process.start()
+        child_end.close()
+
+    def replay(self) -> list[float]:
+        """Let the helper add its share's gradient; the share's losses."""
+        try:
+            self.conn.send(None)
+        except OSError:  # it has exited; recv tells how
+            pass
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            self.process.join()
+            raise RuntimeError(f"a training helper exited with code {self.process.exitcode}") from None
+        if isinstance(reply, tuple):
+            exc, remote_traceback = reply
+            raise exc from RuntimeError(f"raised in a training helper:\n{remote_traceback}")
+        return reply
+
+
+@contextlib.contextmanager
+def _helpers(params: ParameterSet, model_cfg: ModelConfig, scale: float, count: int):
+    """``params`` moved into shared memory, and ``count`` helpers that train
+    on it; ``params`` itself when ``count`` is 0.  No helper outlives the
+    block, and if the block raises, every helper is stopped at once."""
+    if count == 0:
+        yield params, []
+        return
+    import multiprocessing  # here, so that importing pertmap does not pay for it
+
+    ctx = multiprocessing.get_context()
+    dtype = params.values.dtype
+    raw = ctx.RawArray("b", 2 * params.values.nbytes)
+    shared = _shared_params(raw, dtype, model_cfg)
+    shared.values[...] = params.values
+    del params  # its values are copied; free them while training runs
+    helpers: list[_Helper] = []
+    try:
+        for _ in range(count):
+            helpers.append(_Helper(ctx, (raw, dtype, model_cfg, scale)))
+        yield shared, helpers
+    except BaseException:
+        for helper in helpers:
+            helper.process.terminate()
+        raise
+    else:
+        for helper in helpers:
+            helper.conn.send(None)  # no more work
+    finally:
+        for helper in helpers:
+            helper.conn.close()
+            helper.process.join()
+
+
 def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     bundle_stream: Iterator[ExperimentBundle],
+    workers: Optional[int] = None,
 ) -> TrainResult:
     """Run the pretraining loop; deterministic given configs and stream.
 
@@ -245,33 +395,46 @@ def train(
     A step first draws all its bundles, times, noise and drop flags, in the
     order one bundle at a time would, then runs them as stacked graphs, one
     ``cfm_loss`` and one backward each (see the module docstring).
-    """
-    params = build_model(model_cfg, train_cfg.seed)
-    rng = np.random.default_rng(train_cfg.seed)
-    optimizer = AdamW(params)
-    ema = params.values.copy()
-    trace: list[tuple[int, float, float]] = []
 
-    for step in range(1, train_cfg.total_steps + 1):
-        params.zero_grads()
-        draws = [_draw(bundle_stream, rng, step) for _ in range(train_cfg.batch_size)]
-        batch_loss = 0.0
-        for stack in _stacks(draws):
-            bundles, taus, y0s, drops = zip(*stack)
-            loss = cfm_loss(params, model_cfg, bundles, taus, np.stack(y0s), drops[0])
-            loss.backward(seed=1.0 / train_cfg.batch_size)
-            for value in loss.data.tolist():  # one addition per bundle, in draw order
+    The stacks run in ``min(workers, batch_size)`` processes, this one and
+    helpers started once per call; the default, None, is one per usable
+    core, and ``workers=1`` trains in this process alone.  The result does
+    not depend on the worker count.  Helpers start by the default start
+    method, so a script run under spawn or forkserver (the defaults on macOS
+    and, from Python 3.14, on Linux) must call this under an ``if __name__
+    == "__main__":`` guard, or pass ``workers=1``.  No helper outlives the
+    call; an error raised in one is raised here.
+    """
+    workers = usable_cores() if workers is None else workers
+    require_integer("workers", workers, 1)
+    processes = min(workers, train_cfg.batch_size)
+    scale = 1.0 / train_cfg.batch_size
+    rng = np.random.default_rng(train_cfg.seed)
+    with _helpers(build_model(model_cfg, train_cfg.seed), model_cfg, scale, processes - 1) as (params, helpers):
+        optimizer = AdamW(params)
+        ema = params.values.copy()
+        trace: list[tuple[int, float, float]] = []
+
+        for step in range(1, train_cfg.total_steps + 1):
+            params.zero_grads()
+            draws = [_draw(bundle_stream, rng, step) for _ in range(train_cfg.batch_size)]
+            own, *shares = _split(draws, processes)
+            busy = [(helper, share) for helper, share in zip(helpers, shares) if share]
+            for helper, share in busy:
+                helper.conn.send(share)
+            losses = _train_stacks(params, model_cfg, own, scale)
+            for helper, _ in busy:  # in draw order, so each replays after the stacks before it
+                losses += helper.replay()
+            batch_loss = 0.0
+            for value in losses:  # one addition per bundle, in draw order
                 batch_loss += value
-            # Free this stack's graph before the next one is built: at most one
-            # stack's saved activations are alive at a time.
-            del loss
-        batch_loss /= train_cfg.batch_size
-        if not math.isfinite(batch_loss):
-            raise NumericalFailureError(f"non-finite loss at step {step}")
-        lr = wsd_lr(step, train_cfg)
-        optimizer.step(lr)
-        ema_update(ema, params.values, train_cfg.ema_decay)
-        trace.append((step, batch_loss, lr))
+            batch_loss /= train_cfg.batch_size
+            if not math.isfinite(batch_loss):
+                raise NumericalFailureError(f"non-finite loss at step {step}")
+            lr = wsd_lr(step, train_cfg)
+            optimizer.step(lr)
+            ema_update(ema, params.values, train_cfg.ema_decay)
+            trace.append((step, batch_loss, lr))
 
     return TrainResult(ema_params=ParameterSet(parameter_layout(model_cfg), ema), trace=trace)
 

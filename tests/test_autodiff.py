@@ -93,6 +93,46 @@ def test_a_leaf_adds_a_stacked_adjoint_copy_by_copy_in_stack_order():
     assert not np.array_equal(w.grad, np.float32(1e8) + np.float32(x.sum()))
 
 
+def test_a_deferred_backward_replays_its_additions_after_later_ones():
+    # Graph b's backward logs its leaf additions while graph a's run, as a
+    # helper process's does during training; replayed after a's, they leave
+    # the float32 gradients that a's backward then b's would.
+    rng = np.random.default_rng(5)
+    ps = ParameterSet([("w", (2, 3)), ("b", (3,))], rng.standard_normal(9).astype(np.float32))
+    xa, xb = (rng.standard_normal((2, 4, 2)).astype(np.float32) * 1e3 for _ in range(2))
+
+    def loss(x):
+        y = layers.linear(x, ps["w"], ps["b"])
+        return (y * y).sum()
+
+    loss(xb).backward(seed=0.5)
+    loss(xa).backward()
+    other_order = ps.grad.copy()
+    ps.zero_grads()
+    loss(xa).backward()
+    loss(xb).backward(seed=0.5)
+    reference = ps.grad.copy()
+    assert not np.array_equal(other_order, reference)
+
+    ps.zero_grads()
+    log = []
+    loss(xb).backward(seed=0.5, leaf_log=log)
+    assert not np.any(ps.grad)
+    assert [leaf for leaf, _ in log] == [ps["w"], ps["b"]]
+    loss(xa).backward()
+    ad.replay(log)
+    assert np.array_equal(ps.grad, reference)
+
+
+def test_parameter_set_wraps_a_given_grad_like_its_values():
+    values, grad = np.zeros(6, np.float32), np.zeros(6, np.float32)
+    ps = ParameterSet([("w", (2, 3))], values, grad)
+    assert ps.grad is grad and np.shares_memory(ps["w"].grad, grad)
+    for unlike in (np.zeros(5, np.float32), np.zeros(6, np.float64)):
+        with pytest.raises(InvalidArgumentError, match="grad"):
+            ParameterSet([("w", (2, 3))], values, unlike)
+
+
 def test_no_grad_skips_tape():
     x = Tensor(np.array(2.0), requires_grad=True)
     with ad.no_grad():

@@ -5,6 +5,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +23,7 @@ from helpers import wrong_type_cases
 from pertmap import model as mdl
 from pertmap import training as tr
 from pertmap.autodiff import Tensor
-from pertmap.errors import InvalidArgumentError
+from pertmap.errors import InvalidArgumentError, NumericalFailureError
 from pertmap.model import ExperimentBundle, ModelConfig
 
 RNG = np.random.default_rng(9090)
@@ -380,7 +386,7 @@ def test_train_stacks_its_bundles_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(tr, "cfm_loss", recording)
     cfg = tr.TrainConfig(total_steps=4, batch_size=8, seed=2, peak_lr=5e-3, ema_decay=0.9)
-    result = tr.train(MICRO_CFG, cfg, _bundle_stream(31))
+    result = tr.train(MICRO_CFG, cfg, _bundle_stream(31), workers=1)
     monkeypatch.undo()
     reference = helpers.per_bundle_train(MICRO_CFG, cfg, _bundle_stream(31))
 
@@ -410,6 +416,145 @@ def test_train_names_the_step_where_the_stream_fails():
     no_target = iter([_micro_bundle(rng), _micro_bundle(rng, with_target=False)])
     with pytest.raises(InvalidArgumentError, match="step 1"):
         tr.train(MICRO_CFG, cfg, no_target)
+
+
+def test_train_is_worker_count_invariant(monkeypatch):
+    # Two and three processes split every step's draws; None is one process
+    # per usable core.
+    cfg = tr.TrainConfig(total_steps=4, batch_size=8, seed=2, peak_lr=5e-3, ema_decay=0.9)
+    reference = helpers.per_bundle_train(MICRO_CFG, cfg, _bundle_stream(31))
+    splits = []
+    split = tr._split
+
+    def recording(draws, parts):
+        shares = split(draws, parts)
+        splits.append([[drop for *_, drop in share] for share in shares])
+        return shares
+
+    monkeypatch.setattr(tr, "_split", recording)
+    for workers in (1, 2, 3, None):
+        result = tr.train(MICRO_CFG, cfg, _bundle_stream(31), workers=workers)
+        assert np.array_equal(result.ema_params.values, reference.ema_params.values), workers
+        assert result.trace == reference.trace, workers
+    assert multiprocessing.active_children() == []
+    # Helpers trained dropped and conditioned bundles, and some cut fell
+    # between two draws with one drop flag, which one process can stack.
+    helper_drops = {drop for shares in splits for share in shares[1:] for drop in share}
+    assert helper_drops == {False, True}
+    assert any(a and b and a[-1] == b[0] for shares in splits for a, b in zip(shares, shares[1:]))
+
+
+def _draws(drops):
+    rng = np.random.default_rng(0)
+    return [(_micro_bundle(rng), 0.5, None, drop) for drop in drops]
+
+
+@pytest.mark.parametrize(
+    "drops, parts, sizes",
+    [
+        ((False,) * 4, 2, [2, 2]),  # grn-200's usual step: not (3, 1) as its stacks are
+        ((True, True, True, False), 2, [3, 1]),  # a dropped bundle is cheap
+        ((False,), 2, [1, 0]),  # a lone draw stays in this process
+        ((False,) * 12, 3, [4, 4, 4]),
+        ((False, False), 3, [1, 0, 1]),
+    ],
+)
+def test_split_cuts_a_step_by_work(drops, parts, sizes):
+    draws = _draws(drops)
+    shares = tr._split(draws, parts)
+    assert [len(share) for share in shares] == sizes
+    assert [draw for share in shares for draw in share] == draws
+
+
+def _diverge():
+    raise NumericalFailureError("diverged in a helper")
+
+
+@pytest.mark.parametrize(
+    "fail, error, match",
+    [(_diverge, NumericalFailureError, "in a helper"), (lambda: os._exit(3), RuntimeError, "exited with code 3")],
+    ids=["raises", "exits"],
+)
+def test_train_raises_a_helper_failure_and_stops_its_helpers(monkeypatch, fail, error, match):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("a patch of the parent reaches only forked helpers")
+    parent, loss = os.getpid(), tr.cfm_loss
+
+    def fail_in_a_helper(*args):
+        if os.getpid() != parent:
+            fail()
+        return loss(*args)
+
+    monkeypatch.setattr(tr, "cfm_loss", fail_in_a_helper)
+    with pytest.raises(error, match=match):
+        tr.train(MICRO_CFG, tr.TrainConfig(total_steps=2, batch_size=4), _bundle_stream(3), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def _nan_in_step_two(seed):
+    # The last bundle of step two, with a batch of four: a helper's.
+    for i, bundle in enumerate(_bundle_stream(seed)):
+        yield dataclasses.replace(bundle, target=np.full_like(bundle.target, np.nan)) if i == 7 else bundle
+
+
+@pytest.mark.parametrize(
+    "stream, error",
+    [
+        (lambda: itertools.islice(_bundle_stream(1), 6), InvalidArgumentError),
+        (lambda: _nan_in_step_two(1), NumericalFailureError),
+    ],
+    ids=["stream_ends", "non_finite_loss"],
+)
+def test_train_stops_its_helpers_when_it_raises(stream, error):
+    with pytest.raises(error, match="step 2"):
+        tr.train(MICRO_CFG, tr.TrainConfig(total_steps=3, batch_size=4), stream(), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, 2.5, True])
+def test_train_checks_workers_before_starting_helpers(monkeypatch, workers):
+    def no_helper(*_, **__):
+        raise AssertionError("a helper was started")
+
+    monkeypatch.setattr(tr, "_Helper", no_helper)
+    with pytest.raises(InvalidArgumentError, match="workers"):
+        tr.train(MICRO_CFG, tr.TrainConfig(total_steps=1, batch_size=2), _bundle_stream(1), workers=workers)
+
+
+_SPAWN_SCRIPT = """
+import multiprocessing
+import pickle
+import sys
+
+from pertmap import training
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    with open(sys.argv[1], "rb") as f:
+        model_cfg, train_cfg, bundles = pickle.load(f)
+    result = training.train(model_cfg, train_cfg, iter(bundles), workers=2)
+    with open(sys.argv[2], "wb") as f:
+        pickle.dump((result.ema_params.values, result.trace), f)
+"""
+
+
+def test_train_is_the_same_under_spawn(tmp_path):
+    # Spawned helpers import the package afresh and map the shared weights
+    # and gradient from the descriptors they are started with.
+    cfg = tr.TrainConfig(total_steps=3, batch_size=4, seed=2, peak_lr=5e-3, ema_decay=0.9)
+    bundles = list(itertools.islice(_bundle_stream(31), cfg.total_steps * cfg.batch_size))
+    script, inputs, out = tmp_path / "spawn_train.py", tmp_path / "inputs.pkl", tmp_path / "result.pkl"
+    script.write_text(_SPAWN_SCRIPT)
+    with open(inputs, "wb") as f:
+        pickle.dump((MICRO_CFG, cfg, bundles), f)
+    src = str(Path(tr.__file__).parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, str(script), str(inputs), str(out)], env=env, check=True, timeout=300)
+    with open(out, "rb") as f:
+        values, trace = pickle.load(f)
+    serial = tr.train(MICRO_CFG, cfg, iter(bundles), workers=1)
+    assert np.array_equal(values, serial.ema_params.values)
+    assert trace == serial.trace
 
 
 def test_cfm_loss_rejects_stacks_that_do_not_fit():
