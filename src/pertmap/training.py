@@ -20,7 +20,7 @@ because a parameter adds a stack's gradients one bundle at a time (see
 :mod:`pertmap.autodiff`), so each parameter's gradient sums its bundles in
 the same order.
 
-A step's bundles train on ``workers`` processes at once.  This process
+A step's bundles train on several processes at once.  This process
 draws every bundle, time, noise and drop flag, cuts the step's draws into
 contiguous shares of about equal work (a dropped bundle runs only the query
 stream, so it counts DROPPED_COST of a conditioned one), trains the first
@@ -48,7 +48,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -383,7 +383,6 @@ def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     bundle_stream: Iterator[ExperimentBundle],
-    workers: Optional[int] = None,
 ) -> TrainResult:
     """Run the pretraining loop; deterministic given configs and stream.
 
@@ -396,18 +395,15 @@ def train(
     order one bundle at a time would, then runs them as stacked graphs, one
     ``cfm_loss`` and one backward each (see the module docstring).
 
-    The stacks run in ``min(workers, batch_size)`` processes, this one and
-    helpers started once per call; the default, None, is one per usable
-    core, and ``workers=1`` trains in this process alone.  The result does
-    not depend on the worker count.  Helpers start by the default start
-    method, so a script run under spawn or forkserver (the defaults on macOS
-    and, from Python 3.14, on Linux) must call this under an ``if __name__
-    == "__main__":`` guard, or pass ``workers=1``.  No helper outlives the
-    call; an error raised in one is raised here.
+    The stacks run in one process per usable core, at most ``batch_size``:
+    this one and helpers started once per call.  The result does not depend
+    on the process count.  Helpers start by the default start method, so a
+    script run under spawn or forkserver (the defaults on macOS and, from
+    Python 3.14, on Linux) must call this under an ``if __name__ ==
+    "__main__":`` guard.  No helper outlives the call; an error raised in
+    one is raised here.
     """
-    workers = usable_cores() if workers is None else workers
-    require_integer("workers", workers, 1)
-    processes = min(workers, train_cfg.batch_size)
+    processes = min(usable_cores(), train_cfg.batch_size)
     scale = 1.0 / train_cfg.batch_size
     rng = np.random.default_rng(train_cfg.seed)
     with _helpers(build_model(model_cfg, train_cfg.seed), model_cfg, scale, processes - 1) as (params, helpers):

@@ -57,8 +57,9 @@ if __name__ == "__main__":
 
 
 def test_grn_dataset_is_the_same_under_spawn(tmp_path):
-    # The only test of a start method other than fork: spawned workers
-    # import the package afresh and receive every job pickled.
+    # With train's spawn test, the only test of a start method other than
+    # fork: spawned workers import the package afresh and receive every job
+    # pickled.
     script, out = tmp_path / "spawn_grn.py", tmp_path / "ds.pkl"
     script.write_text(_SPAWN_SCRIPT)
     src = str(Path(datasets.__file__).parents[1])

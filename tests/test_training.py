@@ -385,8 +385,9 @@ def test_train_stacks_its_bundles_bit_for_bit(monkeypatch):
         return loss(params, model_cfg, bundles, taus, y0, drop)
 
     monkeypatch.setattr(tr, "cfm_loss", recording)
+    monkeypatch.setattr(tr, "usable_cores", lambda: 1)  # every stack in this process
     cfg = tr.TrainConfig(total_steps=4, batch_size=8, seed=2, peak_lr=5e-3, ema_decay=0.9)
-    result = tr.train(MICRO_CFG, cfg, _bundle_stream(31), workers=1)
+    result = tr.train(MICRO_CFG, cfg, _bundle_stream(31))
     monkeypatch.undo()
     reference = helpers.per_bundle_train(MICRO_CFG, cfg, _bundle_stream(31))
 
@@ -418,9 +419,8 @@ def test_train_names_the_step_where_the_stream_fails():
         tr.train(MICRO_CFG, cfg, no_target)
 
 
-def test_train_is_worker_count_invariant(monkeypatch):
-    # Two and three processes split every step's draws; None is one process
-    # per usable core.
+def test_train_is_process_count_invariant(monkeypatch):
+    # One process per usable core: two and three split every step's draws.
     cfg = tr.TrainConfig(total_steps=4, batch_size=8, seed=2, peak_lr=5e-3, ema_decay=0.9)
     reference = helpers.per_bundle_train(MICRO_CFG, cfg, _bundle_stream(31))
     splits = []
@@ -432,10 +432,11 @@ def test_train_is_worker_count_invariant(monkeypatch):
         return shares
 
     monkeypatch.setattr(tr, "_split", recording)
-    for workers in (1, 2, 3, None):
-        result = tr.train(MICRO_CFG, cfg, _bundle_stream(31), workers=workers)
-        assert np.array_equal(result.ema_params.values, reference.ema_params.values), workers
-        assert result.trace == reference.trace, workers
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(tr, "usable_cores", lambda: cores)
+        result = tr.train(MICRO_CFG, cfg, _bundle_stream(31))
+        assert np.array_equal(result.ema_params.values, reference.ema_params.values), cores
+        assert result.trace == reference.trace, cores
     assert multiprocessing.active_children() == []
     # Helpers trained dropped and conditioned bundles, and some cut fell
     # between two draws with one drop flag, which one process can stack.
@@ -486,8 +487,9 @@ def test_train_raises_a_helper_failure_and_stops_its_helpers(monkeypatch, fail, 
         return loss(*args)
 
     monkeypatch.setattr(tr, "cfm_loss", fail_in_a_helper)
+    monkeypatch.setattr(tr, "usable_cores", lambda: 2)
     with pytest.raises(error, match=match):
-        tr.train(MICRO_CFG, tr.TrainConfig(total_steps=2, batch_size=4), _bundle_stream(3), workers=2)
+        tr.train(MICRO_CFG, tr.TrainConfig(total_steps=2, batch_size=4), _bundle_stream(3))
     assert multiprocessing.active_children() == []
 
 
@@ -505,20 +507,11 @@ def _nan_in_step_two(seed):
     ],
     ids=["stream_ends", "non_finite_loss"],
 )
-def test_train_stops_its_helpers_when_it_raises(stream, error):
+def test_train_stops_its_helpers_when_it_raises(monkeypatch, stream, error):
+    monkeypatch.setattr(tr, "usable_cores", lambda: 2)
     with pytest.raises(error, match="step 2"):
-        tr.train(MICRO_CFG, tr.TrainConfig(total_steps=3, batch_size=4), stream(), workers=2)
+        tr.train(MICRO_CFG, tr.TrainConfig(total_steps=3, batch_size=4), stream())
     assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("workers", [0, 2.5, True])
-def test_train_checks_workers_before_starting_helpers(monkeypatch, workers):
-    def no_helper(*_, **__):
-        raise AssertionError("a helper was started")
-
-    monkeypatch.setattr(tr, "_Helper", no_helper)
-    with pytest.raises(InvalidArgumentError, match="workers"):
-        tr.train(MICRO_CFG, tr.TrainConfig(total_steps=1, batch_size=2), _bundle_stream(1), workers=workers)
 
 
 _SPAWN_SCRIPT = """
@@ -530,15 +523,16 @@ from pertmap import training
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
+    training.usable_cores = lambda: 2
     with open(sys.argv[1], "rb") as f:
         model_cfg, train_cfg, bundles = pickle.load(f)
-    result = training.train(model_cfg, train_cfg, iter(bundles), workers=2)
+    result = training.train(model_cfg, train_cfg, iter(bundles))
     with open(sys.argv[2], "wb") as f:
         pickle.dump((result.ema_params.values, result.trace), f)
 """
 
 
-def test_train_is_the_same_under_spawn(tmp_path):
+def test_train_is_the_same_under_spawn(monkeypatch, tmp_path):
     # Spawned helpers import the package afresh and map the shared weights
     # and gradient from the descriptors they are started with.
     cfg = tr.TrainConfig(total_steps=3, batch_size=4, seed=2, peak_lr=5e-3, ema_decay=0.9)
@@ -552,7 +546,8 @@ def test_train_is_the_same_under_spawn(tmp_path):
     subprocess.run([sys.executable, str(script), str(inputs), str(out)], env=env, check=True, timeout=300)
     with open(out, "rb") as f:
         values, trace = pickle.load(f)
-    serial = tr.train(MICRO_CFG, cfg, iter(bundles), workers=1)
+    monkeypatch.setattr(tr, "usable_cores", lambda: 1)
+    serial = tr.train(MICRO_CFG, cfg, iter(bundles))
     assert np.array_equal(values, serial.ema_params.values)
     assert trace == serial.trace
 
