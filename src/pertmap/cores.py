@@ -1,6 +1,6 @@
-"""The cores this process may run on: the default worker count of the
-package's process pools (``datasets.generate_grn_dataset`` and
-``training.train``)."""
+"""The cores this process may run on: the process count of
+``training.train`` and the default worker count of
+``datasets.generate_grn_dataset``."""
 
 from __future__ import annotations
 
